@@ -9,7 +9,9 @@ with per-species secular frequencies from the trap model. Equilibria
 are found by quasi-Newton descent in dimensionless coordinates (length
 unit: Coulomb length of the first ion's species) followed by a Newton
 polish on the analytic gradient, with saddle-point escapes along the
-most negative curvature direction.
+most negative curvature direction. A solve given initial positions (a
+continuation step) starts with the polish and falls back to the
+quasi-Newton escape loop only when the polish ends on a saddle or stalls.
 """
 
 from __future__ import annotations
@@ -279,6 +281,7 @@ def find_equilibrium(
     both_branches: bool = False,
     perturbation: float = 1e-8,
     max_escapes: int = 8,
+    initial: np.ndarray | None = None,
 ):
     """Relax the ions to a stable minimum of the potential.
 
@@ -293,6 +296,16 @@ def find_equilibrium(
     two are the degenerate mirror pair, for a linear crystal they
     coincide.
 
+    initial, positions in metres of shape (N, 3), replaces the seed
+    chain: the Newton polish starts from it, and only when that ends on
+    a saddle (kicked along the most negative curvature) or does not
+    converge does the quasi-Newton escape loop take over. This is the
+    warm start of a continuation, e.g. the minimum at a neighbouring
+    trap setting; seed and perturbation are then unused. It selects a
+    single start, so it cannot be combined with restarts > 1 or
+    both_branches=True (ValueError). It is checked like the positions
+    of a CrystalConfiguration (ValueError, CoincidentIonsError).
+
     Raises TrapInstabilityError for an unconfined species,
     SaddlePointError when every escape attempt still ends on a saddle,
     and ConvergenceError when the force tolerance cannot be met.
@@ -301,6 +314,13 @@ def find_equilibrium(
     n = len(ions)
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
+    if initial is not None:
+        initial = CrystalConfiguration(ions, initial).positions
+        if restarts > 1 or both_branches:
+            raise ValueError(
+                "initial selects a single start; it excludes restarts > 1 "
+                "and both_branches"
+            )
     for s in set(ions):
         frequencies_for_species(trap, s)
 
@@ -360,6 +380,15 @@ def find_equilibrium(
             "could not escape a saddle point",
             negative_count=int((evals < -_SOFT_EIG_REL * max(evals[-1], 0.0)).sum()),
         )
+
+    if initial is not None:
+        u, ok = _newton_polish(initial.ravel() / scale, fg, hess_u)
+        direction = unstable_direction(u)[0] if ok else None
+        if not ok or direction is not None:
+            _, u = solve_from(u if direction is None else u + 1e-3 * direction)
+        primary = CrystalConfiguration(ions, u.reshape(n, 3) * scale)
+        _check_forces(trap, primary)
+        return primary
 
     rng = np.random.default_rng(seed)
     best: tuple[float, np.ndarray] | None = None

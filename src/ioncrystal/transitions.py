@@ -6,10 +6,20 @@ gradient while the static curvatures stay fixed. This leaves the axial
 problem untouched, so the linear chain is the same configuration at
 every alpha and only its transverse stability changes.
 
-Two independent detectors locate the critical anisotropy: the sign
-change of the lowest transverse curvature at the linear chain (soft
-mode), and the onset of a nonzero transverse order parameter in the
-relaxed structure. They must agree.
+Two independent detectors locate the critical anisotropy. The soft
+mode is closed form: at the fixed linear chain the transverse x-block of
+the Hessian is A + B/alpha with B the diagonal rf term, so the chain
+buckles at alpha* = 1 / lambda_max(-A, B) (Fishman, De Chiara, Calarco &
+Morigi, PRB 77, 064111, 2008). The order parameter is the onset of a
+nonzero transverse displacement in the relaxed structure. With both, the
+relaxed structure is probed once on each side of alpha*, at alpha* -+
+tolerance/2; a linear-then-buckled pair confirms it. Any other outcome,
+a solver failure included, falls back to bisecting the order parameter
+over the bracket, and the two estimates must then agree.
+
+Phase scans are continuations: each arrangement is relaxed in ascending
+alpha, every solve starting from the previous minimum, and a grid point
+whose solve fails is recorded and followed by a cold solve.
 """
 
 from __future__ import annotations
@@ -20,10 +30,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .constants import K_COULOMB
 from .crystal import (
     CrystalConfiguration,
     StructureClass,
     _mass_weighted_eigh,
+    _squared_frequencies,
     axial_equilibrium,
     classify,
     find_equilibrium,
@@ -54,9 +66,6 @@ _SOFT_EIG_REL = 1e-9
 
 def _force_scale(trap: TrapModel, config: CrystalConfiguration) -> float:
     """Largest per-ion sum of trap and Coulomb force magnitudes, newtons."""
-    from .constants import K_COULOMB
-    from .crystal import _squared_frequencies
-
     pos = config.positions
     w2 = _squared_frequencies(trap, config.ions)
     trap_force = np.abs(config.masses[:, None] * w2 * pos).sum(axis=1)
@@ -198,17 +207,56 @@ def _linear_chain(
     return CrystalConfiguration(tuple(ions), pos)
 
 
-def _soft_axis_min_eig(
-    family: AnisotropyFamily, chain: CrystalConfiguration, alpha: float
-) -> float:
-    """Lowest x-block eigenvalue of the mass-weighted Hessian at the chain."""
-    trap = family.trap_at(alpha)
-    H = hessian(trap, chain)
-    inv = 1.0 / np.sqrt(np.repeat(chain.masses, 3))
-    D = H * inv[:, None] * inv[None, :]
+def _soft_mode_alpha(family: AnisotropyFamily, ions: Sequence[IonSpecies]) -> float:
+    """Exact alpha_x at which the linear chain's transverse x-block turns soft.
+
+    Along the family only the rf term of the x curvature changes, as
+    m_i k_i^2 omega_z^2 / alpha with k_i the charge-to-mass ratio of ion i
+    over the reference species'. So the x-block of the Hessian at the
+    linear chain is A + B/alpha with B that diagonal term, and it stays
+    positive definite while 1/alpha > lambda_max(-A, B). Returns inf when
+    that eigenvalue is not positive: the chain never buckles.
+    """
+    chain = _linear_chain(family, ions)
+    ref = family.reference
+    ratio = (chain.charges / chain.masses) / (ref.charge / ref.mass)
+    B = chain.masses * ratio**2 * (4.0 * ref.charge * family.axial_curvature / ref.mass)
     xs = 3 * np.arange(chain.n)
-    Dx = D[np.ix_(xs, xs)]
-    return float(np.linalg.eigvalsh(0.5 * (Dx + Dx.T))[0])
+    A = hessian(family.trap_at(1.0), chain)[np.ix_(xs, xs)] - np.diag(B)
+    s = 1.0 / np.sqrt(B)
+    lam = float(np.linalg.eigvalsh(-(A * s[:, None] * s[None, :]))[-1])
+    return 1.0 / lam if lam > 0.0 else math.inf
+
+
+def _check_bracket(alpha: float, lo: float, hi: float, widen: bool) -> None:
+    """BracketError unless alpha lies in the bracket, or in the widening range."""
+    if not widen:
+        if alpha <= lo:
+            raise BracketError(f"bracket [{lo}, {hi}] already unstable at {lo}")
+        if alpha > hi:
+            raise BracketError(f"bracket [{lo}, {hi}] still stable at {hi}")
+    elif alpha < _ALPHA_MIN:
+        raise BracketError(f"no stable point above alpha = {_ALPHA_MIN}")
+    elif alpha > _ALPHA_MAX:
+        raise BracketError(f"no transition below alpha = {_ALPHA_MAX}")
+
+
+def _confirm_by_probes(predicate, alpha: float, tolerance: float) -> float | None:
+    """Midpoint of alpha -+ tolerance/2 if the predicate switches there, else None.
+
+    The probes never sit on alpha itself, where the soft direction is
+    quartic and a relaxation can stall. A SolverError in a probe counts
+    as no confirmation.
+    """
+    below, above = alpha - 0.5 * tolerance, alpha + 0.5 * tolerance
+    if below <= 0.0:
+        return None
+    try:
+        if not predicate(below) and predicate(above):
+            return 0.5 * (below + above)
+    except SolverError:
+        pass
+    return None
 
 
 def _bisect_predicate(predicate, lo, hi, tol, widen):
@@ -249,10 +297,19 @@ def critical_anisotropy(
 ) -> CriticalPoint:
     """Locate the linear-to-zigzag critical anisotropy of an arrangement.
 
-    method 'soft-mode' bisects the sign of the lowest transverse
-    curvature of the linear chain; 'order-parameter' bisects the onset
-    of transverse displacement in the relaxed structure; 'both' runs the
-    two and requires agreement within agreement_tol.
+    method 'soft-mode' returns the exact alpha* = 1 / lambda_max(-A, B)
+    at which the linear chain's transverse x-block A + B/alpha turns
+    soft; BracketError if alpha* lies outside the bracket and widen is
+    False, or outside [_ALPHA_MIN, _ALPHA_MAX] when it is True.
+    'order-parameter' bisects the onset of transverse displacement in
+    the relaxed structure over the bracket (widened if allowed) down to
+    tolerance. 'both' computes alpha* and relaxes the crystal cold at
+    alpha* - tolerance/2 and alpha* + tolerance/2; when the first is
+    linear and the second is not, cross_check is their midpoint (a
+    bisection end state of width tolerance). Otherwise, including when
+    a probe raises SolverError, it bisects the order parameter as above
+    and requires agreement with alpha* within agreement_tol
+    (MethodDisagreementError).
     """
     if method not in ("soft-mode", "order-parameter", "both"):
         raise ValueError(f"unknown method '{method}'")
@@ -263,11 +320,8 @@ def critical_anisotropy(
 
     alpha_soft = alpha_order = None
     if method in ("soft-mode", "both"):
-        chain = _linear_chain(family, ions)
-        alpha_soft = _bisect_predicate(
-            lambda a: _soft_axis_min_eig(family, chain, a) <= 0.0,
-            lo, hi, tolerance, widen,
-        )
+        alpha_soft = _soft_mode_alpha(family, ions)
+        _check_bracket(alpha_soft, lo, hi, widen)
     if method in ("order-parameter", "both"):
         ell = characteristic_length(
             family.reference,
@@ -278,7 +332,10 @@ def critical_anisotropy(
             cfg = find_equilibrium(family.trap_at(a), ions, seed=seed)
             return classify(cfg, length_scale=ell).kind != "linear"
 
-        alpha_order = _bisect_predicate(relaxed_nonlinear, lo, hi, tolerance, widen)
+        if alpha_soft is not None:
+            alpha_order = _confirm_by_probes(relaxed_nonlinear, alpha_soft, tolerance)
+        if alpha_order is None:
+            alpha_order = _bisect_predicate(relaxed_nonlinear, lo, hi, tolerance, widen)
 
     if method == "both":
         assert alpha_soft is not None and alpha_order is not None
@@ -308,8 +365,12 @@ def scan_configurations(
 ) -> PhaseMap:
     """Relax every arrangement at every alpha and classify the results.
 
-    Solver failures are recorded per grid point instead of aborting the
-    scan. The resulting map is checked for a monotone phase boundary.
+    Each arrangement is followed as a continuation in ascending alpha:
+    the first grid point is solved cold (from `seed`), every later one
+    starts from the previous minimum (find_equilibrium's initial=). A
+    solver failure is recorded at its grid point instead of aborting the
+    scan, and the next point is solved cold again. The resulting map is
+    checked for a monotone phase boundary.
     """
     alphas = sorted(float(a) for a in alphas)
     ell = characteristic_length(
@@ -319,14 +380,19 @@ def scan_configurations(
     points: list[PhasePoint] = []
     for label, ions in arrangements.items():
         ions = tuple(ions)
+        previous = None
         for a in alphas:
             alpha_y = family.alpha_y_at(a)
             try:
-                cfg = find_equilibrium(family.trap_at(a), ions, seed=seed)
+                cfg = find_equilibrium(
+                    family.trap_at(a), ions, seed=seed, initial=previous
+                )
                 sc = classify(cfg, length_scale=ell)
                 points.append(PhasePoint(a, alpha_y, label, sc))
+                previous = cfg.positions
             except SolverError as exc:
                 points.append(PhasePoint(a, alpha_y, label, None, str(exc)))
+                previous = None
     pm = PhaseMap(tuple(points))
     pm.validate_monotone()
     return pm

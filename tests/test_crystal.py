@@ -208,3 +208,40 @@ def test_configuration_validation(ca):
         ic.CrystalConfiguration((ca,), np.zeros((2, 3)))
     with pytest.raises(ValueError):
         ic.CrystalConfiguration((ca,), np.array([[np.nan, 0.0, 0.0]]))
+
+
+def test_initial_at_a_minimum_returns_it(family, ca, ca2):
+    ell = ic.characteristic_length(ca, 2.0 * math.pi * 119e3)
+    for alpha, ions in ((0.45, [ca, ca, ca]), (0.25, [ca, ca, ca2, ca])):
+        trap = family.trap_at(alpha)
+        cold = ic.find_equilibrium(trap, ions)
+        warm = ic.find_equilibrium(trap, ions, initial=cold.positions)
+        e0 = ic.potential_energy(trap, cold)
+        assert abs(ic.potential_energy(trap, warm) - e0) <= 1e-12 * abs(e0)
+        assert np.abs(warm.positions - cold.positions).max() <= 1e-12 * ell
+
+
+def test_initial_linear_chain_past_the_transition_buckles(family, ca, linear_chain):
+    # 0.45 > 5/12: the linear chain is a saddle, so the warm start escapes it
+    trap = family.trap_at(0.45)
+    chain = linear_chain(trap, [ca, ca, ca])
+    config = ic.find_equilibrium(trap, [ca, ca, ca], initial=chain.positions)
+    assert ic.classify(config).kind == "zigzag"
+    report = ic.configuration_stability(trap, config)
+    assert report.stable and report.negative_count == 0
+
+
+def test_initial_is_validated(family, ca):
+    trap = family.trap_at(0.3)
+    good = ic.find_equilibrium(trap, [ca, ca, ca]).positions
+    with pytest.raises(ValueError):
+        ic.find_equilibrium(trap, [ca, ca, ca], initial=good[:2])
+    with pytest.raises(ValueError):
+        ic.find_equilibrium(trap, [ca, ca, ca], initial=np.full((3, 3), np.nan))
+    with pytest.raises(ic.CoincidentIonsError):
+        ic.find_equilibrium(trap, [ca, ca, ca], initial=np.zeros((3, 3)))
+    # a warm start is one start: it excludes restarts and the mirror branch
+    with pytest.raises(ValueError):
+        ic.find_equilibrium(trap, [ca, ca, ca], initial=good, restarts=2)
+    with pytest.raises(ValueError):
+        ic.find_equilibrium(trap, [ca, ca, ca], initial=good, both_branches=True)

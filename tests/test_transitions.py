@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ioncrystal as ic
+from ioncrystal import transitions
 
 OMEGA_RF = 2.0 * math.pi * 10.66e6
 
@@ -160,3 +161,88 @@ def test_stability_requires_a_stationary_point(trap, ca):
     pos[:, 2] = (-5e-6, 7e-6)
     with pytest.raises(ic.NonStationaryError):
         ic.configuration_stability(trap, ic.CrystalConfiguration((ca, ca), pos))
+
+
+def test_soft_mode_alpha_is_exact(family, ca, ca2):
+    cases = (([ca, ca, ca], 5.0 / 12.0), ([ca, ca], 1.0), ([ca, ca2, ca], 1.0))
+    for ions, exact in cases:
+        cp = ic.critical_anisotropy(family, ions, method="soft-mode")
+        assert cp.alpha_x == pytest.approx(exact, abs=1e-12)
+
+
+def test_bracket_error_without_a_transition(family):
+    # a light pair is held so tightly by the rf term that its soft
+    # eigenvalue never changes sign: alpha* is infinite
+    light = ic.IonSpecies(1, 4.0)
+    for method in ("soft-mode", "both"):
+        with pytest.raises(ic.BracketError):
+            ic.critical_anisotropy(family, [light, light], method=method)
+
+
+def _counting_solver(monkeypatch, fail_first=False):
+    calls = []
+    solve = transitions.find_equilibrium
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        if fail_first and len(calls) == 1:
+            raise ic.ConvergenceError("probe failed")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(transitions, "find_equilibrium", counted)
+    return calls
+
+
+def test_two_probes_confirm_the_soft_mode(family, ca, monkeypatch):
+    calls = _counting_solver(monkeypatch)
+    cp = ic.critical_anisotropy(family, [ca, ca, ca], method="both")
+    assert len(calls) == 2
+    assert cp.cross_check == pytest.approx(5.0 / 12.0, abs=1e-12)
+
+
+def test_failed_probe_falls_back_to_bisection(family, ca, monkeypatch):
+    calls = _counting_solver(monkeypatch, fail_first=True)
+    cp = ic.critical_anisotropy(family, [ca, ca, ca], method="both")
+    assert len(calls) > 2
+    assert cp.cross_check == pytest.approx(5.0 / 12.0, abs=1e-3)
+
+
+def test_disagreeing_probes_fall_back_and_disagree(family, ca, monkeypatch):
+    # an order-parameter detector blind below 0.1 ell sees both probes as
+    # linear, and its bisection then lands well past alpha*
+    classify = transitions.classify
+
+    def blunt(config, length_scale=None):
+        return classify(config, length_scale=length_scale, threshold_factor=0.1)
+
+    monkeypatch.setattr(transitions, "classify", blunt)
+    calls = _counting_solver(monkeypatch)
+    with pytest.raises(ic.MethodDisagreementError):
+        ic.critical_anisotropy(family, [ca, ca, ca], method="both")
+    assert len(calls) > 2
+
+
+def test_continuation_scan_matches_cold_solves(family, ca, ca2):
+    scans = (
+        ({"pure": [ca] * 3, "outer": [ca2, ca, ca], "central": [ca, ca2, ca]},
+         np.linspace(0.30, 0.50, 21)),
+        ({"impurity": [ca, ca, ca2, ca, ca, ca], "pure": [ca] * 6},
+         np.linspace(0.06, 0.25, 20)),
+    )
+    ell = ic.characteristic_length(ca, family.frequencies_at(1.0).omega_z)
+    for arrangements, alphas in scans:
+        pm = ic.scan_configurations(family, arrangements, alphas)
+        for label, ions in arrangements.items():
+            points = pm.for_label(label)
+            previous = None
+            for p in points:
+                trap = family.trap_at(p.alpha_x)
+                # the continuation step the scan took, and the cold solve
+                warm = ic.find_equilibrium(trap, ions, initial=previous)
+                previous = warm.positions
+                assert ic.classify(warm, length_scale=ell) == p.structure
+                cold = ic.find_equilibrium(trap, ions)
+                assert ic.classify(cold, length_scale=ell).kind == p.structure.kind
+                e_cold = ic.potential_energy(trap, cold)
+                e_warm = ic.potential_energy(trap, warm)
+                assert e_warm <= e_cold + 1e-12 * abs(e_cold)
