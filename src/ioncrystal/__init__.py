@@ -15,6 +15,7 @@ from .crystal import (
     find_equilibrium,
     gradient,
     hessian,
+    is_stationary,
     potential_energy,
 )
 from .errors import (

@@ -5,13 +5,24 @@ The potential of N ions in a calibrated trap is
     E = sum_i M_i/2 (wx_i^2 x_i^2 + wy_i^2 y_i^2 + wz_i^2 z_i^2)
       + sum_{i<j} k q_i q_j / |r_i - r_j|
 
-with per-species secular frequencies from the trap model. Equilibria
-are found by quasi-Newton descent in dimensionless coordinates (length
-unit: Coulomb length of the first ion's species) followed by a Newton
-polish on the analytic gradient, with saddle-point escapes along the
-most negative curvature direction. A solve given initial positions (a
-continuation step) starts with the polish and falls back to the
-quasi-Newton escape loop only when the polish ends on a saddle or stalls.
+with per-species secular frequencies from the trap model. Every
+equilibrium comes from one energy-descent Newton loop (`_relax`), run in
+dimensionless coordinates (length unit: Coulomb length of the first
+ion's species; Nocedal & Wright, Numerical Optimization, ch. 3 and 4).
+Each step solves with the analytic Hessian. Where it is indefinite its
+mass-weighted eigenvalues are replaced by their absolute values, and the
+step pushes along the lowest mode while that mode is unstable. A trust
+radius tied to the smallest ion spacing bounds every ion's step, and a
+step is accepted only if it lowers the energy. The loop stops at a
+stationary point (`is_stationary`) with no unstable direction.
+
+`axial_equilibrium` runs the loop on z alone, keeping the ions in order.
+`find_equilibrium` runs it on all three axes, from that linear chain
+with small transverse offsets or from given positions. For crystals of
+up to _BRANCH_MAX_IONS ions, the first push off an unstable point
+follows each of the lowest _BRANCHES unstable modes in turn, and the
+lowest minimum wins (minimum selection: deep in the buckled phase
+several minima compete).
 """
 
 from __future__ import annotations
@@ -20,13 +31,13 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constants import K_COULOMB
 from .errors import (
     CoincidentIonsError,
     ConvergenceError,
     SaddlePointError,
+    SolverError,
 )
 from .trap import (
     IonSpecies,
@@ -37,9 +48,27 @@ from .trap import (
 )
 
 MIN_SEPARATION = 1e-12       # m, below this two ions count as coincident
-FORCE_TOL = 1e-16            # N, residual force bound at a converged equilibrium
-_DIMLESS_GRAD_TOL = 1e-13    # convergence target in solver units
+# Stationarity: the largest residual force is at most STATIONARY_REL times
+# the force scale, the largest per-ion sum of trap and Coulomb force
+# magnitudes. That is c * eps with c ~ 90 (eps = 2.2e-16), room for the
+# round-off of a force component that sums N terms of up to the force
+# scale. Solves of 12-96 ions end at 3e-16 to 2e-15 of it.
+STATIONARY_REL = 2e-14
 _SOFT_EIG_REL = 1e-9         # relative eigenvalue floor separating soft from unstable
+
+# The descent loop; lengths are in units of the smallest ion spacing.
+_MAX_STEPS = 500
+_MAX_RADIUS = 1.0            # trust radius: the largest per-ion step
+_PUSH = 0.1                  # smallest per-ion step along an unstable lowest mode
+_FIRST_PUSH = 0.5            # the same for the first push, which picks the branch
+_ARMIJO = 1e-4               # sufficient-decrease constant
+_ROUNDOFF = 1e-14            # relative energy change that counts as round-off
+# Minimum selection: a solve of at most _BRANCH_MAX_IONS ions descends from
+# its first unstable point along each of the _BRANCHES lowest unstable
+# modes and keeps the lowest minimum. Each branch costs a full descent, so
+# larger crystals follow the lowest mode alone.
+_BRANCHES = 4
+_BRANCH_MAX_IONS = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,11 +132,16 @@ class StructureClass:
     order_parameter: float
 
 
-def _min_separation(pos: np.ndarray) -> float:
+def _pair_geometry(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pair differences r_i - r_j, shape (N, N, d), and distances with inf on the diagonal."""
     diff = pos[:, None, :] - pos[None, :, :]
     dist = np.sqrt((diff**2).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
-    return float(dist.min())
+    return diff, dist
+
+
+def _min_separation(pos: np.ndarray) -> float:
+    return float(_pair_geometry(pos)[1].min())
 
 
 def _squared_frequencies(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray:
@@ -124,64 +158,75 @@ def _squared_frequencies(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndar
 
 def _energy_gradient(
     pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Energy (J) and gradient (N, as dE/dr, shape (N, 3)) for raw arrays."""
-    energy = 0.5 * (masses[:, None] * w2 * pos**2).sum()
+) -> tuple[float, np.ndarray, float]:
+    """Energy (J), gradient dE/dr (N, shape of pos) and force scale (N) for raw arrays.
+
+    pos and w2 have shape (N, d): all three axes, or z alone. The force
+    scale is the largest per-ion sum of trap and Coulomb force
+    magnitudes, the yardstick of the stationarity test.
+    """
     grad = masses[:, None] * w2 * pos
+    energy = 0.5 * (grad * pos).sum()
+    per_ion = np.abs(grad).sum(axis=1)
     if len(masses) > 1:
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
-        qq = K_COULOMB * np.outer(charges, charges)
-        energy += 0.5 * (qq / dist).sum()
-        grad -= ((qq / dist**3)[:, :, None] * diff).sum(axis=1)
-    return float(energy), grad
+        diff, dist = _pair_geometry(pos)
+        qq_r = K_COULOMB * np.outer(charges, charges) / dist
+        energy += 0.5 * qq_r.sum()
+        qq_r2 = qq_r / dist
+        per_ion += qq_r2.sum(axis=1)
+        grad -= ((qq_r2 / dist)[:, :, None] * diff).sum(axis=1)
+    return float(energy), grad, float(per_ion.max())
 
 
 def _hessian(
     pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray
 ) -> np.ndarray:
-    """Second derivative matrix of the potential, shape (3N, 3N), J/m^2."""
-    n = len(masses)
-    H = np.zeros((n, 3, n, 3))
+    """Second derivative matrix of the potential, shape (dN, dN), J/m^2.
+
+    pos and w2 have shape (N, d) as in _energy_gradient.
+    """
+    n, d = pos.shape
+    H = np.zeros((n, d, n, d))
     idx = np.arange(n)
-    for ax in range(3):
+    for ax in range(d):
         H[idx, ax, idx, ax] = masses * w2[:, ax]
     if n > 1:
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-        np.fill_diagonal(dist, np.inf)
+        diff, dist = _pair_geometry(pos)
         unit = diff / dist[:, :, None]
         c3 = K_COULOMB * np.outer(charges, charges) / dist**3
         blocks = c3[:, :, None, None] * (
-            3.0 * unit[:, :, :, None] * unit[:, :, None, :] - np.eye(3)
+            3.0 * unit[:, :, :, None] * unit[:, :, None, :] - np.eye(d)
         )
         H -= blocks.transpose(0, 2, 1, 3)
         H[idx, :, idx, :] += blocks.sum(axis=1)
-    return H.reshape(3 * n, 3 * n)
+    return H.reshape(d * n, d * n)
 
 
 def _mass_weighted_eigh(
     H: np.ndarray, masses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of M^-1/2 H M^-1/2; eigenvalues in (rad/s)^2, ascending."""
-    inv = 1.0 / np.sqrt(np.repeat(masses, 3))
+    inv = 1.0 / np.sqrt(np.repeat(masses, len(H) // len(masses)))
     D = H * inv[:, None] * inv[None, :]
     D = 0.5 * (D + D.T)
     return np.linalg.eigh(D)
 
 
+def _unstable_count(evals: np.ndarray) -> int:
+    """Eigenvalues below minus the soft floor: the unstable directions."""
+    return int((evals < -_SOFT_EIG_REL * max(float(evals[-1]), 0.0)).sum())
+
+
 def potential_energy(trap: TrapModel, config: CrystalConfiguration) -> float:
     """Total potential energy in joules."""
     w2 = _squared_frequencies(trap, config.ions)
-    e, _ = _energy_gradient(config.positions, config.masses, config.charges, w2)
-    return e
+    return _energy_gradient(config.positions, config.masses, config.charges, w2)[0]
 
 
 def gradient(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
     """Gradient dE/dr flattened to (3N,), in newtons."""
     w2 = _squared_frequencies(trap, config.ions)
-    _, g = _energy_gradient(config.positions, config.masses, config.charges, w2)
+    _, g, _ = _energy_gradient(config.positions, config.masses, config.charges, w2)
     return g.ravel()
 
 
@@ -195,6 +240,180 @@ def hessian(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
     return _hessian(config.positions, config.masses, config.charges, w2)
 
 
+def _force_scale(trap: TrapModel, config: CrystalConfiguration) -> float:
+    """Largest per-ion sum of trap and Coulomb force magnitudes, newtons."""
+    w2 = _squared_frequencies(trap, config.ions)
+    return _energy_gradient(config.positions, config.masses, config.charges, w2)[2]
+
+
+def is_stationary(trap: TrapModel, config: CrystalConfiguration) -> bool:
+    """Whether the configuration is an equilibrium to within round-off.
+
+    True when the largest residual force is at most STATIONARY_REL times
+    the force scale (the largest per-ion sum of trap and Coulomb force
+    magnitudes). The same test ends every equilibrium solve.
+    """
+    w2 = _squared_frequencies(trap, config.ions)
+    _, g, scale = _energy_gradient(config.positions, config.masses, config.charges, w2)
+    return _stationary(g, scale)
+
+
+def _stationary(g: np.ndarray, force_scale: float) -> bool:
+    return bool(np.abs(g).max() <= STATIONARY_REL * force_scale)
+
+
+def _relax(
+    u: np.ndarray,
+    masses: np.ndarray,
+    charges: np.ndarray,
+    w2: np.ndarray,
+    scale: float,
+    *,
+    keep_order: bool = False,
+    branch: bool = False,
+    first_mode: int = 0,
+    max_escapes: int = 8,
+    max_steps: int = _MAX_STEPS,
+) -> np.ndarray:
+    """Energy-descent Newton from u (shape (N, d), in units of scale) to a minimum.
+
+    Each step solves H p = -g. Where the Hessian is not positive definite,
+    its mass-weighted eigenvalues are replaced by their absolute values
+    (floored at the soft-mode floor). While the lowest one is unstable,
+    the step moves at least _PUSH spacings along that mode, downhill: the
+    loop follows the dominant instability. No ion moves further than the
+    trust radius (in smallest spacings); a longer step is shortened by a
+    shift mu of the eigenvalues (Levenberg-Marquardt), which cuts the soft
+    directions first. The radius doubles after a full step and shrinks to
+    what the line search kept. A step is accepted on an Armijo energy
+    decrease; when the Hessian has no unstable direction and the energy
+    change is round-off, on a smaller largest force instead. keep_order
+    rejects steps that reorder a one-dimensional chain. The loop stops
+    when the configuration is stationary (is_stationary's test) with no
+    unstable mode.
+
+    Minimum selection: the first push moves _FIRST_PUSH spacings along
+    unstable mode first_mode (0 the lowest, 1 the next, ...). With branch,
+    that first push, if more than one mode is unstable, also starts a
+    descent along each of the next ones, up to _BRANCHES modes in all, and
+    the lowest of their minima is returned (the earliest on a tie within
+    1e-12). A branch that fails is dropped.
+
+    Raises SaddlePointError after more than max_escapes stationary saddle
+    points, or when the descent stalls on one, and ConvergenceError when
+    it stalls or runs out of steps elsewhere.
+    """
+    e0 = K_COULOMB * charges[0] ** 2 / scale
+    inv_sqrt_m = 1.0 / np.sqrt(np.repeat(masses, u.shape[1]))
+
+    def evaluate(v: np.ndarray):
+        e, g, f = _energy_gradient(v * scale, masses, charges, w2)
+        return e / e0, g.ravel() * (scale / e0), _stationary(g, f)
+
+    def size(p: np.ndarray) -> float:
+        """Largest per-ion length of a flat step."""
+        return float(np.sqrt((p.reshape(u.shape) ** 2).sum(axis=1)).max())
+
+    e, g, stationary = evaluate(u)
+    radius = _MAX_RADIUS
+    escapes = 0
+    pushed = False
+    alternatives: list[np.ndarray] = []
+    for _ in range(max_steps):
+        H = _hessian(u * scale, masses, charges, w2) * (scale**2 / e0)
+        try:
+            np.linalg.cholesky(H)
+            modes = None
+            unstable = 0
+        except np.linalg.LinAlgError:
+            modes = _mass_weighted_eigh(H, masses)
+            unstable = _unstable_count(modes[0])
+        if stationary:
+            if unstable == 0:
+                break
+            escapes += 1
+            if escapes > max_escapes:
+                raise SaddlePointError(
+                    "could not escape a saddle point", negative_count=unstable
+                )
+        spacing = _min_separation(u)
+        limit = radius * spacing
+        p = None
+        if modes is None:
+            p = -np.linalg.solve(H, g)
+            if size(p) > limit:
+                modes, p = _mass_weighted_eigh(H, masses), None
+        if p is None:
+            evals, vecs = modes
+            lam = np.maximum(np.abs(evals), _SOFT_EIG_REL * np.abs(evals).max())
+            gw = vecs.T @ (inv_sqrt_m * g)
+
+            def shifted(mu: float) -> np.ndarray:
+                return inv_sqrt_m * (vecs @ (-gw / (lam + mu)))
+
+            p = shifted(0.0)
+            if size(p) > limit:
+                lo, hi = 0.0, float(lam[-1])
+                while size(shifted(hi)) > limit:
+                    lo, hi = hi, 2.0 * hi
+                while hi - lo > 0.01 * hi:
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (mid, hi) if size(shifted(mid)) > limit else (lo, mid)
+                p = shifted(hi)
+        if unstable:
+            k, push = 0, _PUSH
+            if not pushed:
+                pushed = True
+                k, push = min(first_mode, unstable - 1), _FIRST_PUSH
+                for other in range(1, min(unstable, _BRANCHES) if branch else 1):
+                    try:
+                        alternatives.append(_relax(
+                            u, masses, charges, w2, scale, first_mode=other,
+                            max_escapes=max_escapes - escapes, max_steps=max_steps,
+                        ))
+                    except SolverError:
+                        pass
+            mode = inv_sqrt_m * vecs[:, k]
+            reach = size(mode)
+            along = float(vecs[:, k] @ (p / inv_sqrt_m))
+            if abs(along) * reach < push * spacing:
+                sign = -np.sign(gw[k]) or np.sign(mode[np.abs(mode).argmax()])
+                p = p + (sign * push * spacing / reach - along) * mode
+                p *= min(1.0, limit / size(p))
+        p = p.reshape(u.shape)
+        length = size(p)
+        slope = float(g @ p.ravel())
+        gmax = np.abs(g).max()
+        t = 1.0
+        while True:
+            trial = u + t * p
+            if not keep_order or np.all(np.diff(trial[:, 0]) > 0.0):
+                e_t, g_t, stationary_t = evaluate(trial)
+                if unstable == 0 and abs(e_t - e) <= _ROUNDOFF * abs(e):
+                    if np.abs(g_t).max() < gmax:
+                        break
+                elif e_t <= e + _ARMIJO * t * slope:
+                    break
+            t *= 0.5
+            if t < 1e-10:
+                if unstable:
+                    raise SaddlePointError(
+                        "descent stalled on a saddle point", negative_count=unstable
+                    )
+                raise ConvergenceError(
+                    "equilibrium solve stalled above the force tolerance"
+                )
+        u, e, g, stationary = trial, e_t, g_t, stationary_t
+        radius = min(2.0 * radius, _MAX_RADIUS) if t == 1.0 else t * length / spacing
+    else:
+        raise ConvergenceError(f"equilibrium solve did not converge in {max_steps} steps")
+    for alt in alternatives:
+        e_alt = evaluate(alt)[0]
+        if e_alt < e - 1e-12 * abs(e):
+            u, e = alt, e_alt
+    return u
+
+
 def axial_equilibrium(
     trap: TrapModel,
     ions: Sequence[IonSpecies],
@@ -202,74 +421,36 @@ def axial_equilibrium(
 ) -> np.ndarray:
     """Equilibrium z positions (metres) of the linear chain, ions kept in order.
 
-    Solves the one-dimensional problem by Newton iteration from an
-    equally spaced seed. The result does not depend on the transverse
-    confinement, so it parametrises the whole linear branch of a radial
-    stiffness scan.
+    Runs the equilibrium descent loop on z alone, from an equally spaced
+    seed, rejecting every step that would reorder the ions. The
+    one-dimensional energy of an ordered chain is strictly convex, so the
+    loop needs no negative-curvature handling here. The result does not
+    depend on the transverse confinement, so it parametrises the whole
+    linear branch of a radial stiffness scan. max_iter bounds the loop's
+    steps (ConvergenceError beyond it).
     """
     ions = tuple(ions)
-    n = len(ions)
+    if len(ions) == 1:
+        return np.zeros(1)
     w2 = _squared_frequencies(trap, ions)
-    wz2 = w2[:, 2]
     masses = np.array([s.mass for s in ions])
     charges = np.array([s.charge for s in ions])
-    if n == 1:
-        return np.zeros(1)
-
-    scale = characteristic_length(ions[0], float(np.sqrt(wz2[0])))
-    force_scale = masses[0] * wz2[0] * scale
-    spacing = 2.018 * n**-0.559 * scale
-    z = (np.arange(n) - 0.5 * (n - 1)) * spacing
-    qq = K_COULOMB * np.outer(charges, charges)
-
-    for _ in range(max_iter):
-        dz = z[:, None] - z[None, :]
-        adz = np.abs(dz)
-        np.fill_diagonal(adz, np.inf)
-        g = masses * wz2 * z - (qq * dz / adz**3).sum(axis=1)
-        if np.abs(g).max() <= _DIMLESS_GRAD_TOL * force_scale:
-            if np.any(np.diff(z) <= 0.0):
-                raise ConvergenceError("axial solve left ions out of order")
-            return z
-        off = 2.0 * qq / adz**3
-        Hz = np.diag(masses * wz2 + off.sum(axis=1)) - off
-        z = z - np.linalg.solve(Hz, g)
-    raise ConvergenceError(f"axial equilibrium did not converge in {max_iter} steps")
+    scale = characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
+    return _axial_chain(masses, charges, w2, scale, max_iter) * scale
 
 
-def _newton_polish(u, fg, hess_u, max_iter=200):
-    """Drive the dimensionless gradient below _DIMLESS_GRAD_TOL from a near-minimum.
-
-    Damped Newton: the Hessian is shifted until positive definite, the
-    shift grows on rejected steps and decays on accepted ones. Near a
-    structural transition the bare Hessian is almost singular along the
-    soft direction, where undamped Newton would jump to the saddle.
-    """
-    e, g = fg(u)
-    mu = 0.0
-    eye = np.eye(len(u))
-    for _ in range(max_iter):
-        ginf = np.abs(g).max()
-        if ginf <= _DIMLESS_GRAD_TOL:
-            return u, True
-        H = hess_u(u)
-        while True:
-            try:
-                np.linalg.cholesky(H + mu * eye)
-                break
-            except np.linalg.LinAlgError:
-                mu = max(2.0 * mu, 1e-10)
-        step = np.linalg.solve(H + mu * eye, g)
-        u_new = u - step
-        e_new, g_new = fg(u_new)
-        if np.isfinite(e_new) and (np.abs(g_new).max() < ginf or e_new < e):
-            u, e, g = u_new, e_new, g_new
-            mu = 0.0 if mu < 1e-12 else 0.25 * mu
-        else:
-            mu = max(8.0 * mu, 1e-8)
-            if mu > 1e8:
-                return u, False
-    return u, np.abs(g).max() <= _DIMLESS_GRAD_TOL
+def _axial_chain(
+    masses: np.ndarray,
+    charges: np.ndarray,
+    w2: np.ndarray,
+    scale: float,
+    max_steps: int = _MAX_STEPS,
+) -> np.ndarray:
+    """z of the ordered linear chain in units of scale: the loop on z alone."""
+    n = len(masses)
+    u = ((np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559)[:, None]
+    u = _relax(u, masses, charges, w2[:, 2:], scale, keep_order=True, max_steps=max_steps)
+    return u[:, 0]
 
 
 def find_equilibrium(
@@ -285,11 +466,12 @@ def find_equilibrium(
 ):
     """Relax the ions to a stable minimum of the potential.
 
-    The seed configuration is an equally spaced chain along z with
-    deterministic pseudo-random transverse offsets of size
-    `perturbation` (metres) drawn from `seed`. With restarts > 1 the
-    solve is repeated with fresh offsets and the lowest-energy stable
-    minimum wins (ties broken by lexicographically smaller positions).
+    The seed configuration is the linear chain of axial_equilibrium
+    with deterministic pseudo-random transverse offsets of size
+    `perturbation` (metres) drawn from `seed`; the descent loop runs
+    from it (see the module docstring). With restarts > 1 the solve is
+    repeated with fresh offsets and the lowest-energy stable minimum
+    wins (ties broken by lexicographically smaller positions).
 
     With both_branches=True, returns a (primary, mirror) pair where the
     mirror is solved from the x-reflected seed; for a zigzag crystal the
@@ -297,18 +479,21 @@ def find_equilibrium(
     coincide.
 
     initial, positions in metres of shape (N, 3), replaces the seed
-    chain: the Newton polish starts from it, and only when that ends on
-    a saddle (kicked along the most negative curvature) or does not
-    converge does the quasi-Newton escape loop take over. This is the
-    warm start of a continuation, e.g. the minimum at a neighbouring
-    trap setting; seed and perturbation are then unused. It selects a
-    single start, so it cannot be combined with restarts > 1 or
-    both_branches=True (ValueError). It is checked like the positions
-    of a CrystalConfiguration (ValueError, CoincidentIonsError).
+    chain: the same loop starts from it. This is the warm start of a
+    continuation, e.g. the minimum at a neighbouring trap setting; seed
+    and perturbation are then unused. It selects a single start, so it
+    cannot be combined with restarts > 1 or both_branches=True
+    (ValueError). It is checked like the positions of a
+    CrystalConfiguration (ValueError, CoincidentIonsError).
+
+    max_escapes bounds how often the loop may land on a stationary
+    saddle point (an exactly linear chain past its transition, say) and
+    push off it along the most unstable mode.
 
     Raises TrapInstabilityError for an unconfined species,
-    SaddlePointError when every escape attempt still ends on a saddle,
-    and ConvergenceError when the force tolerance cannot be met.
+    SaddlePointError when the loop cannot leave a saddle point, and
+    ConvergenceError when it stalls or runs out of steps before
+    is_stationary's test holds.
     """
     ions = tuple(ions)
     n = len(ions)
@@ -325,109 +510,50 @@ def find_equilibrium(
         frequencies_for_species(trap, s)
 
     w2 = _squared_frequencies(trap, ions)
+    if n == 1:  # a lone ion sits at the trap centre
+        origin = CrystalConfiguration(ions, np.zeros((1, 3)))
+        return (origin, origin) if both_branches else origin
     masses = np.array([s.mass for s in ions])
     charges = np.array([s.charge for s in ions])
     scale = characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
-    e0 = K_COULOMB * ions[0].charge ** 2 / scale
 
-    def fg(u: np.ndarray) -> tuple[float, np.ndarray]:
-        e, g = _energy_gradient(u.reshape(n, 3) * scale, masses, charges, w2)
-        return e / e0, g.ravel() * (scale / e0)
-
-    def hess_u(u: np.ndarray) -> np.ndarray:
-        return _hessian(u.reshape(n, 3) * scale, masses, charges, w2) * (
-            scale**2 / e0
+    def solve_from(u0: np.ndarray) -> CrystalConfiguration:
+        u = _relax(
+            u0, masses, charges, w2, scale,
+            branch=n <= _BRANCH_MAX_IONS, max_escapes=max_escapes,
         )
-
-    spacing = 2.018 * n**-0.559 if n > 1 else 1.0
-    z_seed = (np.arange(n) - 0.5 * (n - 1)) * spacing
-
-    def unstable_direction(u: np.ndarray):
-        H = _hessian(u.reshape(n, 3) * scale, masses, charges, w2)
-        evals, evecs = _mass_weighted_eigh(H, masses)
-        if evals[0] >= -_SOFT_EIG_REL * max(evals[-1], 0.0):
-            return None, evals
-        direction = evecs[:, 0] / np.sqrt(np.repeat(masses, 3))
-        return direction / np.abs(direction).max(), evals
-
-    def solve_from(u0: np.ndarray) -> tuple[float, np.ndarray]:
-        u = u0.ravel()
-        for _ in range(max_escapes):
-            res = minimize(
-                fg,
-                u,
-                jac=True,
-                method="BFGS",
-                options={"gtol": 1e-11, "maxiter": 50000, "norm": np.inf},
-            )
-            # kick off a saddle before polishing: the polish assumes it is
-            # refining a minimum and stalls in the flat valley otherwise
-            direction, evals = unstable_direction(res.x)
-            if direction is not None:
-                u = res.x + 1e-3 * direction
-                continue
-            u, ok = _newton_polish(res.x, fg, hess_u)
-            if not ok:
-                raise ConvergenceError(
-                    "equilibrium solve stalled above the force tolerance"
-                )
-            direction, evals = unstable_direction(u)
-            if direction is None:
-                e, g = fg(u)
-                return e, u
-            u = u + 1e-3 * direction
-        raise SaddlePointError(
-            "could not escape a saddle point",
-            negative_count=int((evals < -_SOFT_EIG_REL * max(evals[-1], 0.0)).sum()),
-        )
+        return CrystalConfiguration(ions, u * scale)
 
     if initial is not None:
-        u, ok = _newton_polish(initial.ravel() / scale, fg, hess_u)
-        direction = unstable_direction(u)[0] if ok else None
-        if not ok or direction is not None:
-            _, u = solve_from(u if direction is None else u + 1e-3 * direction)
-        primary = CrystalConfiguration(ions, u.reshape(n, 3) * scale)
-        _check_forces(trap, primary)
-        return primary
+        return solve_from(initial / scale)
 
+    z = _axial_chain(masses, charges, w2, scale)
     rng = np.random.default_rng(seed)
-    best: tuple[float, np.ndarray] | None = None
+    best: tuple[float, CrystalConfiguration] | None = None
     first_seed: np.ndarray | None = None
     for _ in range(restarts):
         u0 = np.zeros((n, 3))
-        u0[:, 2] = z_seed
+        u0[:, 2] = z
         u0[:, :2] = rng.standard_normal((n, 2)) * (perturbation / scale)
         if first_seed is None:
             first_seed = u0.copy()
-        e, u = solve_from(u0)
+        config = solve_from(u0)
+        e = _energy_gradient(config.positions, masses, charges, w2)[0]
         if (
             best is None
             or e < best[0] - 1e-12 * abs(best[0])
-            or (abs(e - best[0]) <= 1e-12 * abs(best[0]) and tuple(u) < tuple(best[1]))
+            or (
+                abs(e - best[0]) <= 1e-12 * abs(best[0])
+                and tuple(config.positions.ravel()) < tuple(best[1].positions.ravel())
+            )
         ):
-            best = (e, u)
+            best = (e, config)
 
     assert best is not None and first_seed is not None
-    primary = CrystalConfiguration(ions, best[1].reshape(n, 3) * scale)
-    _check_forces(trap, primary)
     if not both_branches:
-        return primary
-
-    u0 = first_seed.copy()
-    u0[:, 0] *= -1.0
-    _, u_mirror = solve_from(u0)
-    mirror = CrystalConfiguration(ions, u_mirror.reshape(n, 3) * scale)
-    _check_forces(trap, mirror)
-    return primary, mirror
-
-
-def _check_forces(trap: TrapModel, config: CrystalConfiguration) -> None:
-    g = gradient(trap, config)
-    gmax = float(np.abs(g).max())
-    if gmax > FORCE_TOL:
-        raise ConvergenceError(
-            f"residual force {gmax:.3e} N exceeds {FORCE_TOL:.0e} N"
-        )
+        return best[1]
+    first_seed[:, 0] *= -1.0
+    return best[1], solve_from(first_seed)
 
 
 def classify(

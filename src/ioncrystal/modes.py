@@ -12,11 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import CrystalConfiguration, _mass_weighted_eigh, hessian
+from .crystal import _SOFT_EIG_REL, CrystalConfiguration, _mass_weighted_eigh, hessian
 from .errors import BoundaryError, UnstableConfigurationError
 from .trap import TrapModel
 
-_SOFT_EIG_REL = 1e-9
 _AXIS_SHARE = 0.9
 _AXES = "xyz"
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import NoPeakError, PeakFitError
 from .modes import NormalModeSet
@@ -173,6 +172,8 @@ def sweep_and_fit(
     ]
     if not peaks:
         raise NoPeakError("no resonance above the detection level")
+
+    from scipy.optimize import curve_fit  # here, to keep scipy off the import path
 
     fits = []
     dx = float(np.diff(x).min())

@@ -30,12 +30,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .constants import K_COULOMB
 from .crystal import (
     CrystalConfiguration,
     StructureClass,
+    _force_scale,
     _mass_weighted_eigh,
-    _squared_frequencies,
+    _unstable_count,
     axial_equilibrium,
     classify,
     find_equilibrium,
@@ -60,21 +60,7 @@ from .trap import (
 
 _ALPHA_MIN = 1e-3
 _ALPHA_MAX = 64.0
-_STATIONARY_REL = 1e-9  # of the configuration's characteristic force
-_SOFT_EIG_REL = 1e-9
-
-
-def _force_scale(trap: TrapModel, config: CrystalConfiguration) -> float:
-    """Largest per-ion sum of trap and Coulomb force magnitudes, newtons."""
-    pos = config.positions
-    w2 = _squared_frequencies(trap, config.ions)
-    trap_force = np.abs(config.masses[:, None] * w2 * pos).sum(axis=1)
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    qq = K_COULOMB * np.outer(config.charges, config.charges)
-    coulomb = (qq / dist**2).sum(axis=1)
-    return float((trap_force + coulomb).max())
+_STATIONARY_REL = 1e-9  # of the configuration's force scale
 
 
 @dataclass(frozen=True)
@@ -412,7 +398,9 @@ def configuration_stability(
     force is below _STATIONARY_REL times the configuration's own force
     scale (the largest per-ion sum of trap and Coulomb force magnitudes,
     which stays meaningful across trap strengths); pass force_tol for an
-    absolute bound in newtons.
+    absolute bound in newtons. The default is looser than the solvers'
+    is_stationary test, so that configurations from elsewhere, relaxed
+    less tightly, can still be checked.
     """
     g = gradient(trap, config)
     gmax = float(np.abs(g).max())
@@ -423,8 +411,7 @@ def configuration_stability(
             f"largest force component {gmax:.3e} N exceeds {force_tol:.3e} N"
         )
     evals, _ = _mass_weighted_eigh(hessian(trap, config), config.masses)
-    floor = _SOFT_EIG_REL * max(float(evals[-1]), 0.0)
-    negative = int((evals < -floor).sum())
+    negative = _unstable_count(evals)
     return StabilityReport(
         stable=negative == 0,
         negative_count=negative,

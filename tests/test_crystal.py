@@ -155,7 +155,19 @@ def test_equilibrium_forces_below_tolerance(trap, family, ca, ca2):
     ]
     for model, ions in cases:
         config = ic.find_equilibrium(model, ions)
-        assert np.abs(ic.gradient(model, config)).max() <= ic.crystal.FORCE_TOL
+        assert ic.is_stationary(model, config)
+
+
+def test_stationarity_is_relative_to_the_force_scale(trap, ca):
+    # the paper's trap has a Coulomb force unit of ~7e-19 N, so an absolute
+    # bound of 1e-16 N would pass a chain with an end ion moved by 30 %
+    chain = ic.find_equilibrium(trap, [ca, ca, ca])
+    assert ic.is_stationary(trap, chain)
+    pos = chain.positions.copy()
+    pos[0, 2] *= 1.3
+    moved = chain.with_positions(pos)
+    assert np.abs(ic.gradient(trap, moved)).max() < 1e-16
+    assert not ic.is_stationary(trap, moved)
 
 
 def test_solves_are_deterministic(family, ca):
