@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import curve_fit
 
 from .crystal import CrystalConfiguration
 from .errors import PeakFitError, SpotCountError
@@ -228,8 +229,6 @@ def fit_positions(
             f"found {len(kept)} spots, expected {expected_count}"
         )
     kept = kept[:expected_count]
-
-    from scipy.optimize import curve_fit  # here, to keep scipy off the import path
 
     p = image.um_per_px
     u_ax, v_ax = image.coords()

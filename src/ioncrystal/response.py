@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import curve_fit
 
 from .errors import NoPeakError, PeakFitError
 from .modes import NormalModeSet
@@ -172,8 +173,6 @@ def sweep_and_fit(
     ]
     if not peaks:
         raise NoPeakError("no resonance above the detection level")
-
-    from scipy.optimize import curve_fit  # here, to keep scipy off the import path
 
     fits = []
     dx = float(np.diff(x).min())

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .crystal import (
+    STATIONARY_REL,
     CrystalConfiguration,
     StructureClass,
     _force_scale,
@@ -60,7 +61,6 @@ from .trap import (
 
 _ALPHA_MIN = 1e-3
 _ALPHA_MAX = 64.0
-_STATIONARY_REL = 1e-9  # of the configuration's force scale
 
 
 @dataclass(frozen=True)
@@ -394,18 +394,15 @@ def configuration_stability(
 
     The input must be stationary; otherwise NonStationaryError is raised
     since curvature counts at a non-stationary point say nothing about
-    the structure. By default stationarity means the largest residual
-    force is below _STATIONARY_REL times the configuration's own force
-    scale (the largest per-ion sum of trap and Coulomb force magnitudes,
-    which stays meaningful across trap strengths); pass force_tol for an
-    absolute bound in newtons. The default is looser than the solvers'
-    is_stationary test, so that configurations from elsewhere, relaxed
-    less tightly, can still be checked.
+    the structure. By default stationarity is is_stationary's test, the
+    one every equilibrium solve ends on; pass force_tol, an absolute
+    bound in newtons, to check a configuration relaxed less tightly
+    elsewhere.
     """
     g = gradient(trap, config)
     gmax = float(np.abs(g).max())
     if force_tol is None:
-        force_tol = _STATIONARY_REL * _force_scale(trap, config)
+        force_tol = STATIONARY_REL * _force_scale(trap, config)
     if gmax > force_tol:
         raise NonStationaryError(
             f"largest force component {gmax:.3e} N exceeds {force_tol:.3e} N"

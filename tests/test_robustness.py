@@ -89,6 +89,10 @@ def test_minima_are_never_higher_than_the_committed_grid(family):
     for case in GRID["cases"]:
         trap = family.trap_at(case["alpha"])
         config = ic.find_equilibrium(trap, [species[q] for q in case["charges"]], seed=0)
+        if case["energy"] is None:
+            # the previous solver failed here; a stable minimum is progress
+            _assert_stable_minimum(trap, config)
+            continue
         rel = (ic.potential_energy(trap, config) - case["energy"]) / abs(case["energy"])
         kind = ic.classify(config).kind
         if case["ratio"] <= 1.5:

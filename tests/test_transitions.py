@@ -163,6 +163,19 @@ def test_stability_requires_a_stationary_point(trap, ca):
         ic.configuration_stability(trap, ic.CrystalConfiguration((ca, ca), pos))
 
 
+def test_stability_defaults_to_the_solver_stationarity_test(family, ca, linear_chain):
+    trap = family.trap_at(0.30)
+    chain = linear_chain(trap, [ca, ca, ca])
+    pos = np.array(chain.positions)
+    pos[0, 2] *= 1.0 + 1e-11
+    nudged = chain.with_positions(pos)
+    assert not ic.is_stationary(trap, nudged)
+    with pytest.raises(ic.NonStationaryError):
+        ic.configuration_stability(trap, nudged)
+    gmax = float(np.abs(ic.gradient(trap, nudged)).max())
+    assert ic.configuration_stability(trap, nudged, force_tol=2.0 * gmax).stable
+
+
 def test_soft_mode_alpha_is_exact(family, ca, ca2):
     cases = (([ca, ca, ca], 5.0 / 12.0), ([ca, ca], 1.0), ([ca, ca2, ca], 1.0))
     for ions, exact in cases:
