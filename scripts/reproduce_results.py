@@ -13,7 +13,6 @@ JSON sidecars) into the output directory:
 """
 
 import argparse
-import csv
 import json
 import math
 from pathlib import Path
@@ -21,23 +20,10 @@ from pathlib import Path
 import numpy as np
 
 import ioncrystal as ic
+from ioncrystal.cli import _write_csv
+from ioncrystal.transitions import _linear_chain
 
 KHZ = 2.0 * math.pi * 1e3
-
-
-def chain(trap, ions):
-    z = ic.axial_equilibrium(trap, ions)
-    pos = np.zeros((len(ions), 3))
-    pos[:, 2] = z
-    return ic.CrystalConfiguration(tuple(ions), pos)
-
-
-def write_rows(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    print(f"wrote {path}")
 
 
 def main(argv=None):
@@ -58,7 +44,7 @@ def main(argv=None):
     pure = ic.find_equilibrium(trap, [ca, ca, ca])
     mixed = ic.find_equilibrium(trap, [ca, ca2, ca])
     lp, lm = ic.crystal_length(pure), ic.crystal_length(mixed)
-    write_rows(
+    _write_csv(
         out / "lengths.csv",
         ["arrangement", "length_um", "ratio_to_pure"],
         [
@@ -79,10 +65,10 @@ def main(argv=None):
         cp = ic.critical_anisotropy(family, ions, method="both")
         rows.append([label, f"{cp.alpha_x:.5f}", f"{cp.cross_check:.5f}"])
         print(f"  critical alpha [{label}]: {cp.alpha_x:.5f}")
-    write_rows(out / "critical.csv", ["arrangement", "soft_mode", "order_parameter"], rows)
+    _write_csv(out / "critical.csv", ["arrangement", "soft_mode", "order_parameter"], rows)
 
     # six-ion transverse spectrum with the impurity third in the chain
-    six = chain(trap, [ca, ca, ca2, ca, ca, ca])
+    six = _linear_chain(family, [ca, ca, ca2, ca, ca, ca])
     modes = ic.normal_modes(trap, six)
     rows = []
     for m in ic.modes_by_axis(modes, "x"):
@@ -90,7 +76,7 @@ def main(argv=None):
         rows.append(
             [m, f"{desc.frequency / KHZ:.2f}", f"{ic.localization_ratio(desc, 2):.2f}"]
         )
-    write_rows(out / "spectrum.csv", ["mode", "freq_khz", "localization_ratio"], rows)
+    _write_csv(out / "spectrum.csv", ["mode", "freq_khz", "localization_ratio"], rows)
     gap = ic.min_same_side_gap(modes, axis="x", boundary_index=2) / KHZ
     print(f"  six-ion same-side gap: {gap:.2f} kHz")
 
@@ -98,7 +84,7 @@ def main(argv=None):
     drive = ic.DriveSpec("x", 1e-7, 1.0 * KHZ, np.linspace(400 * KHZ, 1100 * KHZ, 3501))
     rows = []
     for label, ions in (("central", [ca, ca2, ca]), ("outer", [ca, ca, ca2])):
-        m3 = ic.normal_modes(trap, chain(trap, ions))
+        m3 = ic.normal_modes(trap, _linear_chain(family, ions))
         for fit in ic.sweep_and_fit(m3, drive):
             err = min(abs(fit.center - w) for w in m3.frequencies)
             rows.append(
@@ -109,7 +95,7 @@ def main(argv=None):
                     f"{err / (2 * math.pi):.3f}",
                 ]
             )
-    write_rows(
+    _write_csv(
         out / "response_fits.csv",
         ["arrangement", "center_khz", "stderr_khz", "error_hz"],
         rows,

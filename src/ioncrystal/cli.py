@@ -3,7 +3,10 @@
     ioncrystal <command> --scenario file.yaml [--seed N] [--out DIR]
                          [--format {csv,record}]
 
-Commands: calibrate, equilibrium, modes, scan, response, render.
+Commands: calibrate, equilibrium, modes, scan, response, render. Each
+command returns its tables and its JSON record; main writes them, as one
+<table>.csv per table or as <command>.json. render also writes
+crystal.pgm and crystal.json in both formats.
 Exit codes: 0 success, 2 scenario or argument problem, 3 solver failure,
 4 fit failure. Outputs are deterministic for a given scenario and seed.
 """
@@ -76,76 +79,75 @@ def _write_record(path: Path, record: dict) -> None:
     path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
+def _rows(header, rows) -> list[dict]:
+    """Table rows as records keyed by the header; extra row fields are dropped."""
+    return [dict(zip(header, row)) for row in rows]
+
+
 def _length_scale(sc: Scenario) -> float:
     cal = sc.calibration
     return characteristic_length(cal.reference, cal.frequencies.omega_z)
 
 
-def _solve(sc: Scenario):
+def _solve(sc: Scenario, both_branches: bool = False):
     trap = sc.calibration.trap()
     return trap, find_equilibrium(
-        trap, sc.ions, seed=sc.seed, restarts=sc.equilibrium.restarts
+        trap, sc.ions, seed=sc.seed, restarts=sc.equilibrium.restarts,
+        both_branches=both_branches,
     )
 
 
-def _positions_rows(sc: Scenario, config):
+_POSITION_HEADER = ("ion", "label", "charge", "mass_amu", "x_um", "y_um", "z_um")
+
+
+def _positions_rows(sc: Scenario, config) -> list[tuple]:
     pos = config.positions * 1e6
+    rows = []
     for i, label in enumerate(sc.ion_labels):
         s = sc.species[label]
-        yield (i, label, s.charge_number, s.mass_amu, pos[i, 0], pos[i, 1], pos[i, 2])
+        rows.append((i, label, s.charge_number, s.mass_amu, *pos[i]))
+    return rows
 
 
-def _cmd_calibrate(sc: Scenario, out: Path, out_format: str) -> int:
+# Each command returns (tables, record, message): its CSV tables as
+# {name: (header, rows)}, its JSON record built from those rows (None
+# when the command writes its own files in both formats), and the text
+# main prints between "<command>: " and " -> <out>".
+
+
+def _cmd_calibrate(sc: Scenario, out: Path):
     trap = sc.calibration.trap()
     species_rows = []
-    species_records = {}
     for label, s in sc.species.items():
         freqs = frequencies_for_species(trap, s)
         ax, ay = anisotropy(freqs)
         fx, fy, fz = freqs.to_khz()
         species_rows.append((label, s.charge_number, s.mass_amu, fx, fy, fz, ax, ay))
-        species_records[label] = {
-            "charge": s.charge_number,
-            "mass_amu": s.mass_amu,
-            "f_x_khz": fx,
-            "f_y_khz": fy,
-            "f_z_khz": fz,
-            "alpha_x": ax,
-            "alpha_y": ay,
-        }
-    trap_items = [
+    trap_rows = [
         ("axial_curvature_v_m2", trap.axial_curvature),
         ("rf_gradient_v_m2", trap.rf_gradient),
         ("radial_curvature_v_m2", trap.radial_curvature),
         ("rf_frequency_rad_s", trap.rf_frequency),
     ]
-    if out_format == "csv":
-        _write_csv(out / "trap.csv", ("parameter", "value"), trap_items)
-        _write_csv(
-            out / "species.csv",
+    tables = {
+        "trap": (("parameter", "value"), trap_rows),
+        "species": (
             ("label", "charge", "mass_amu", "f_x_khz", "f_y_khz", "f_z_khz",
              "alpha_x", "alpha_y"),
             species_rows,
-        )
-    else:
-        _write_record(
-            out / "calibrate.json",
-            {"trap": dict(trap_items), "species": species_records},
-        )
-    print(f"calibrate: {len(sc.species)} species -> {out}")
-    return 0
+        ),
+    }
+    record = {
+        "trap": dict(trap_rows),
+        "species": {r.pop("label"): r for r in _rows(*tables["species"])},
+    }
+    return tables, record, f"{len(sc.species)} species"
 
 
-def _cmd_equilibrium(sc: Scenario, out: Path, out_format: str) -> int:
-    trap = sc.calibration.trap()
-    result = find_equilibrium(
-        trap,
-        sc.ions,
-        seed=sc.seed,
-        restarts=sc.equilibrium.restarts,
-        both_branches=sc.equilibrium.both_branches,
-    )
-    branches = result if sc.equilibrium.both_branches else (result,)
+def _cmd_equilibrium(sc: Scenario, out: Path):
+    both = sc.equilibrium.both_branches
+    trap, result = _solve(sc, both_branches=both)
+    branches = result if both else (result,)
     primary = branches[0]
     sclass = classify(primary, length_scale=_length_scale(sc))
     summary = [
@@ -156,38 +158,24 @@ def _cmd_equilibrium(sc: Scenario, out: Path, out_format: str) -> int:
         ("length_um", crystal_length(primary) * 1e6),
         ("seed", sc.seed),
     ]
-    if out_format == "csv":
-        header = ("ion", "label", "charge", "mass_amu", "x_um", "y_um", "z_um")
-        _write_csv(out / "positions.csv", header, _positions_rows(sc, primary))
-        if len(branches) > 1:
-            _write_csv(
-                out / "positions_mirror.csv", header, _positions_rows(sc, branches[1])
-            )
-        _write_csv(out / "equilibrium_summary.csv", ("key", "value"), summary)
-    else:
-        record = {
-            "ions": [
-                dict(zip(("ion", "label", "charge", "mass_amu", "x_um", "y_um",
-                          "z_um"), row))
-                for row in _positions_rows(sc, primary)
-            ],
-            "summary": {k: v for k, v in summary},
-        }
-        if len(branches) > 1:
-            record["mirror_ions"] = [
-                dict(zip(("ion", "label", "charge", "mass_amu", "x_um", "y_um",
-                          "z_um"), row))
-                for row in _positions_rows(sc, branches[1])
-            ]
-        _write_record(out / "equilibrium.json", record)
-    print(
-        f"equilibrium: {primary.n} ions, {sclass.kind}, "
-        f"length {crystal_length(primary) * 1e6:.3f} um -> {out}"
+    positions = _positions_rows(sc, primary)
+    tables = {
+        "positions": (_POSITION_HEADER, positions),
+        "equilibrium_summary": (("key", "value"), summary),
+    }
+    record = {"ions": _rows(_POSITION_HEADER, positions), "summary": dict(summary)}
+    if both:
+        mirror = _positions_rows(sc, branches[1])
+        tables["positions_mirror"] = (_POSITION_HEADER, mirror)
+        record["mirror_ions"] = _rows(_POSITION_HEADER, mirror)
+    message = (
+        f"{primary.n} ions, {sclass.kind}, "
+        f"length {crystal_length(primary) * 1e6:.3f} um"
     )
-    return 0
+    return tables, record, message
 
 
-def _cmd_modes(sc: Scenario, out: Path, out_format: str) -> int:
+def _cmd_modes(sc: Scenario, out: Path):
     trap, config = _solve(sc)
     modes = normal_modes(trap, config)
     boundary = sc.modes.boundary
@@ -200,7 +188,7 @@ def _cmd_modes(sc: Scenario, out: Path, out_format: str) -> int:
         if boundary is not None and 0 < boundary < n - 1:
             ratio = localization_ratio(desc, boundary)
         mode_rows.append(
-            (m, _khz(desc.frequency), desc.dominant_axis, desc.soft, ratio)
+            (m, _khz(desc.frequency), desc.dominant_axis, bool(desc.soft), ratio)
             + tuple(desc.ion_amplitudes)
         )
         for i in range(n):
@@ -215,44 +203,30 @@ def _cmd_modes(sc: Scenario, out: Path, out_format: str) -> int:
         pass
     summary = [("axis", sc.modes.axis), ("boundary", boundary),
                ("min_same_side_gap_khz", gap)]
-    if out_format == "csv":
-        _write_csv(
-            out / "modes.csv",
-            ("mode", "freq_khz", "axis", "soft", "localization_ratio")
-            + tuple(f"amp_{i}" for i in range(n)),
-            mode_rows,
-        )
-        _write_csv(
-            out / "eigenvectors.csv", ("mode", "ion", "axis", "component"), vec_rows
-        )
-        _write_csv(out / "modes_summary.csv", ("key", "value"), summary)
-    else:
-        _write_record(
-            out / "modes.json",
-            {
-                "modes": [
-                    {
-                        "mode": row[0],
-                        "freq_khz": row[1],
-                        "axis": row[2],
-                        "soft": bool(row[3]),
-                        "localization_ratio": row[4],
-                        "ion_amplitudes": list(map(float, row[5:])),
-                    }
-                    for row in mode_rows
-                ],
-                "summary": {k: v for k, v in summary},
-            },
-        )
-    print(f"modes: {3 * n} modes, min same-side gap {gap} kHz -> {out}")
-    return 0
+    columns = ("mode", "freq_khz", "axis", "soft", "localization_ratio")
+    tables = {
+        "modes": (columns + tuple(f"amp_{i}" for i in range(n)), mode_rows),
+        "eigenvectors": (("mode", "ion", "axis", "component"), vec_rows),
+        "modes_summary": (("key", "value"), summary),
+    }
+    # the record nests the per-ion amplitudes and leaves out the eigenvectors
+    record = {
+        "modes": [
+            dict(rec, ion_amplitudes=list(row[len(columns):]))
+            for rec, row in zip(_rows(columns, mode_rows), mode_rows)
+        ],
+        "summary": dict(summary),
+    }
+    return tables, record, f"{3 * n} modes, min same-side gap {gap} kHz"
 
 
-def _cmd_scan(sc: Scenario, out: Path, out_format: str) -> int:
+def _cmd_scan(sc: Scenario, out: Path):
     family = sc.calibration.family()
     arrangements = sc.scan.arrangements or {"ions": sc.ions}
     alphas = np.linspace(sc.scan.alpha_min, sc.scan.alpha_max, sc.scan.points)
     pm = scan_configurations(family, arrangements, alphas, seed=sc.seed)
+    map_header = ("alpha_x", "alpha_y", "arrangement", "kind", "plane",
+                  "order_parameter_um", "error")
     map_rows = [
         (
             p.alpha_x,
@@ -265,6 +239,7 @@ def _cmd_scan(sc: Scenario, out: Path, out_format: str) -> int:
         )
         for p in pm.points
     ]
+    critical_header = ("arrangement", "alpha_x", "alpha_y", "method", "cross_check")
     critical_rows = []
     if sc.scan.critical:
         for label, ions in arrangements.items():
@@ -278,42 +253,17 @@ def _cmd_scan(sc: Scenario, out: Path, out_format: str) -> int:
             critical_rows.append(
                 (label, cp.alpha_x, cp.alpha_y, cp.method, cp.cross_check)
             )
-    if out_format == "csv":
-        _write_csv(
-            out / "phase_map.csv",
-            ("alpha_x", "alpha_y", "arrangement", "kind", "plane",
-             "order_parameter_um", "error"),
-            map_rows,
-        )
-        if critical_rows:
-            _write_csv(
-                out / "critical.csv",
-                ("arrangement", "alpha_x", "alpha_y", "method", "cross_check"),
-                critical_rows,
-            )
-    else:
-        _write_record(
-            out / "scan.json",
-            {
-                "phase_map": [
-                    dict(zip(("alpha_x", "alpha_y", "arrangement", "kind", "plane",
-                              "order_parameter_um", "error"), row))
-                    for row in map_rows
-                ],
-                "critical": [
-                    dict(zip(("arrangement", "alpha_x", "alpha_y", "method",
-                              "cross_check"), row))
-                    for row in critical_rows
-                ],
-            },
-        )
-    print(
-        f"scan: {len(arrangements)} arrangements x {len(alphas)} points -> {out}"
-    )
-    return 0
+    tables = {"phase_map": (map_header, map_rows)}
+    if critical_rows:
+        tables["critical"] = (critical_header, critical_rows)
+    record = {
+        "phase_map": _rows(map_header, map_rows),
+        "critical": _rows(critical_header, critical_rows),
+    }
+    return tables, record, f"{len(arrangements)} arrangements x {len(alphas)} points"
 
 
-def _cmd_response(sc: Scenario, out: Path, out_format: str) -> int:
+def _cmd_response(sc: Scenario, out: Path):
     trap, config = _solve(sc)
     modes = normal_modes(trap, config)
     r = sc.response
@@ -328,6 +278,12 @@ def _cmd_response(sc: Scenario, out: Path, out_format: str) -> int:
     curve = response_curve(modes, drive)
     fits = sweep_and_fit(modes, drive)
     mode_khz = [_khz(w) for w in modes.frequencies]
+    curve_rows = [
+        (_khz(w),) + tuple(curve.amplitudes[g] * 1e6)
+        for g, w in enumerate(curve.frequencies)
+    ]
+    peak_header = ("center_khz", "stderr_khz", "height_um", "width_khz",
+                   "offset_um", "n_points", "nearest_mode_khz")
     peak_rows = [
         (
             _khz(f.center),
@@ -340,39 +296,22 @@ def _cmd_response(sc: Scenario, out: Path, out_format: str) -> int:
         )
         for f in fits
     ]
-    if out_format == "csv":
-        _write_csv(
-            out / "response.csv",
+    tables = {
+        "response": (
             ("freq_khz",) + tuple(f"amp_um_{i}" for i in range(config.n)),
-            (
-                (_khz(w),) + tuple(curve.amplitudes[g] * 1e6)
-                for g, w in enumerate(curve.frequencies)
-            ),
-        )
-        _write_csv(
-            out / "peaks.csv",
-            ("center_khz", "stderr_khz", "height_um", "width_khz", "offset_um",
-             "n_points", "nearest_mode_khz"),
-            peak_rows,
-        )
-    else:
-        _write_record(
-            out / "response.json",
-            {
-                "peaks": [
-                    dict(zip(("center_khz", "stderr_khz", "height_um", "width_khz",
-                              "offset_um", "n_points", "nearest_mode_khz"), row))
-                    for row in peak_rows
-                ],
-                "grid_khz": [_khz(w) for w in curve.frequencies],
-                "amplitudes_um": (curve.amplitudes * 1e6).tolist(),
-            },
-        )
-    print(f"response: {len(fits)} resonances fitted -> {out}")
-    return 0
+            curve_rows,
+        ),
+        "peaks": (peak_header, peak_rows),
+    }
+    record = {
+        "peaks": _rows(peak_header, peak_rows),
+        "grid_khz": [row[0] for row in curve_rows],
+        "amplitudes_um": [list(row[1:]) for row in curve_rows],
+    }
+    return tables, record, f"{len(fits)} resonances fitted"
 
 
-def _cmd_render(sc: Scenario, out: Path, out_format: str) -> int:
+def _cmd_render(sc: Scenario, out: Path):
     trap, config = _solve(sc)
     pm = ProjectionModel()
     positions = project(config.positions, pm)
@@ -406,6 +345,12 @@ def _cmd_render(sc: Scenario, out: Path, out_format: str) -> int:
         rng=rng,
         tag=sc.name,
     )
+    header = ("ion", "label", "bright", "u_um", "v_um")
+    projection = [
+        (i, label, bool(bright[i]), float(positions[i, 0]), float(positions[i, 1]))
+        for i, label in enumerate(sc.ion_labels)
+    ]
+    # the image and its sidecar are written in both formats
     write_pgm(image, out / "crystal.pgm")
     sidecar = {
         "scenario": sc.name,
@@ -416,32 +361,16 @@ def _cmd_render(sc: Scenario, out: Path, out_format: str) -> int:
         "mode": sc.render.mode,
         "amplitude_um": sc.render.amplitude_um,
         "noise": sc.render.noise,
-        "ions": [
-            {
-                "label": label,
-                "bright": bool(bright[i]),
-                "u_um": float(positions[i, 0]),
-                "v_um": float(positions[i, 1]),
-            }
-            for i, label in enumerate(sc.ion_labels)
-        ],
+        "ions": _rows(header[1:], (row[1:] for row in projection)),
     }
     _write_record(out / "crystal.json", sidecar)
-    if out_format == "csv":
-        _write_csv(
-            out / "projection.csv",
-            ("ion", "label", "bright", "u_um", "v_um"),
-            (
-                (i, label, bright[i], positions[i, 0], positions[i, 1])
-                for i, label in enumerate(sc.ion_labels)
-            ),
-        )
+    tables = {"projection": (header, projection)}
     dark = int((~bright).sum())
-    print(
-        f"render: {image.intensity.shape[1]}x{image.intensity.shape[0]} px, "
-        f"{dark} dark ions -> {out}"
+    message = (
+        f"{image.intensity.shape[1]}x{image.intensity.shape[0]} px, "
+        f"{dark} dark ions"
     )
-    return 0
+    return tables, None, message
 
 
 _COMMANDS = {
@@ -491,7 +420,14 @@ def main(argv=None) -> int:
             sc = dataclasses.replace(sc, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](sc, out, args.out_format)
+        tables, record, message = _COMMANDS[args.command](sc, out)
+        if args.out_format == "csv":
+            for name, (header, rows) in tables.items():
+                _write_csv(out / f"{name}.csv", header, rows)
+        elif record is not None:
+            _write_record(out / f"{args.command}.json", record)
+        print(f"{args.command}: {message} -> {out}")
+        return 0
     except (ScenarioError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -182,12 +182,39 @@ def _spot_model(xy, a, cu, cv, su, sv, o):
     ) + o
 
 
+def _spot_window(img: np.ndarray, r: int, c: int, um_per_px: float):
+    """Window around the maximum at pixel (r, c), grown to its spot's size.
+
+    Starts at 1.5 um (at least 4 px) either side and widens, at most to
+    80 px, until it spans 3.5 rms widths of the background-subtracted
+    intensity. Returns the window bounds r0, r1, c0, c1 and the second
+    moments dr2, dc2 (px^2) about (r, c).
+    """
+    half = max(4, int(round(1.5 / um_per_px)))
+    dr2 = dc2 = 1.0
+    for _ in range(2):
+        r0, r1 = max(0, r - half), min(img.shape[0], r + half + 1)
+        c0, c1 = max(0, c - half), min(img.shape[1], c + half + 1)
+        window = img[r0:r1, c0:c1]
+        w = np.clip(window - window.min(), 0.0, None)
+        total = w.sum()
+        if total <= 0.0:
+            break
+        dr2 = ((np.arange(r0, r1) - r)[:, None] ** 2 * w).sum() / total
+        dc2 = ((np.arange(c0, c1) - c)[None, :] ** 2 * w).sum() / total
+        needed = int(math.ceil(3.5 * math.sqrt(max(dr2, dc2, 1.0))))
+        if needed <= half:
+            break
+        half = min(needed, 80)
+    return r0, r1, c0, c1, dr2, dc2
+
+
 def fit_positions(
     image: CameraImage,
     expected_count: int,
     *,
     threshold_frac: float = 0.25,
-    min_separation_px: int = 4,
+    min_separation_px: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Locate bright spots and fit each with an elliptical Gaussian.
 
@@ -196,6 +223,10 @@ def fit_positions(
     min_separation_px apart), and fits a window around each. Returns
     positions (expected_count, 2) in um sorted along u, and per-spot rms
     residuals relative to the fitted peak height.
+
+    By default the separation is twice the rms width of the brightest
+    spot, and at least 4 px, so that a Poisson-noise bump on a spot's
+    flank is not taken for a second spot.
 
     Raises SpotCountError when the image is empty or has too few maxima.
     """
@@ -217,6 +248,10 @@ def fit_positions(
                                      1 + dc : padded.shape[1] - 1 + dc]
     rows, cols = np.nonzero(is_max & (img > threshold_frac * peak))
     order = np.argsort(img[rows, cols])[::-1]
+    if min_separation_px is None and order.size:
+        top = order[0]
+        *_, dr2, dc2 = _spot_window(img, int(rows[top]), int(cols[top]), image.um_per_px)
+        min_separation_px = max(4, math.ceil(2.0 * math.sqrt(max(dr2, dc2))))
     kept: list[tuple[int, int]] = []
     for k in order:
         r, c = int(rows[k]), int(cols[k])
@@ -235,22 +270,7 @@ def fit_positions(
     results = []
     residuals = []
     for r, c in kept:
-        half = max(4, int(round(1.5 / p)))
-        dr2 = dc2 = 1.0
-        for _ in range(2):
-            r0, r1 = max(0, r - half), min(img.shape[0], r + half + 1)
-            c0, c1 = max(0, c - half), min(img.shape[1], c + half + 1)
-            window = img[r0:r1, c0:c1]
-            w = np.clip(window - window.min(), 0.0, None)
-            total = w.sum()
-            if total <= 0.0:
-                break
-            dr2 = ((np.arange(r0, r1) - r)[:, None] ** 2 * w).sum() / total
-            dc2 = ((np.arange(c0, c1) - c)[None, :] ** 2 * w).sum() / total
-            needed = int(math.ceil(3.5 * math.sqrt(max(dr2, dc2, 1.0))))
-            if needed <= half:
-                break
-            half = min(needed, 80)
+        r0, r1, c0, c1, dr2, dc2 = _spot_window(img, r, c, p)
         uu, vv = np.meshgrid(u_ax[c0:c1], v_ax[r0:r1])
         data = img[r0:r1, c0:c1]
         p0 = [

@@ -106,6 +106,9 @@ class Scenario:
         return tuple(self.species[label] for label in self.ion_labels)
 
 
+_AXES = ("x", "y", "z")
+
+
 def _require(mapping, key, where):
     if not isinstance(mapping, dict):
         raise ScenarioError(f"{where}: expected a mapping")
@@ -114,11 +117,13 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _number(value, where, minimum=None):
+def _number(value, where, minimum=None, inclusive=False):
+    """A float above minimum (or at least minimum when inclusive)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    if minimum is not None and not value > minimum:
-        raise ScenarioError(f"{where}: must be > {minimum}, got {value}")
+    if minimum is not None and not (value >= minimum if inclusive else value > minimum):
+        bound = ">=" if inclusive else ">"
+        raise ScenarioError(f"{where}: must be {bound} {minimum}, got {value}")
     return float(value)
 
 
@@ -128,6 +133,28 @@ def _integer(value, where, minimum=None):
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
     return value
+
+
+def _flag(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
+def _choice(value, where, choices) -> str:
+    if value not in choices:
+        raise ScenarioError(f"{where}: expected one of {', '.join(choices)}, got {value!r}")
+    return value
+
+
+def _labels(node, species, where) -> tuple[str, ...]:
+    """A non-empty list of species labels, each defined under species."""
+    if not isinstance(node, list) or not node:
+        raise ScenarioError(f"{where}: expected a non-empty list of species labels")
+    for i, label in enumerate(node):
+        if not isinstance(label, str) or label not in species:
+            raise ScenarioError(f"{where}[{i}]: unknown species {label!r}")
+    return tuple(node)
 
 
 def _species(node, where) -> IonSpecies:
@@ -197,13 +224,7 @@ def parse_scenario(path) -> Scenario:
         for label, node in species_node.items()
     }
 
-    ions_node = _require(doc, "ions", path.name)
-    if not isinstance(ions_node, list) or not ions_node:
-        raise ScenarioError("ions: expected a non-empty list of species labels")
-    for i, label in enumerate(ions_node):
-        if label not in species:
-            raise ScenarioError(f"ions[{i}]: unknown species '{label}'")
-    ion_labels = tuple(str(v) for v in ions_node)
+    ion_labels = _labels(_require(doc, "ions", path.name), species, "ions")
 
     seed = _integer(doc.get("seed", 0), "seed", minimum=0)
 
@@ -211,14 +232,12 @@ def parse_scenario(path) -> Scenario:
     _known_keys(eq_node, {"restarts", "both_branches"}, "equilibrium")
     equilibrium = EquilibriumParams(
         restarts=_integer(eq_node.get("restarts", 1), "equilibrium.restarts", 1),
-        both_branches=bool(eq_node.get("both_branches", False)),
+        both_branches=_flag(eq_node.get("both_branches", False), "equilibrium.both_branches"),
     )
 
     modes_node = _section(doc, "modes")
     _known_keys(modes_node, {"axis", "boundary"}, "modes")
-    axis = str(modes_node.get("axis", "x"))
-    if axis not in ("x", "y", "z"):
-        raise ScenarioError(f"modes.axis: expected x, y or z, got '{axis}'")
+    axis = _choice(modes_node.get("axis", "x"), "modes.axis", _AXES)
     boundary = modes_node.get("boundary")
     if boundary is not None:
         boundary = _integer(boundary, "modes.boundary", minimum=0)
@@ -242,19 +261,10 @@ def parse_scenario(path) -> Scenario:
     if not isinstance(arr_node, dict):
         raise ScenarioError("scan.arrangements: expected a mapping")
     for label, labels in arr_node.items():
-        if not isinstance(labels, list) or not labels:
-            raise ScenarioError(
-                f"scan.arrangements.{label}: expected a non-empty list"
-            )
-        for i, s in enumerate(labels):
-            if s not in species:
-                raise ScenarioError(
-                    f"scan.arrangements.{label}[{i}]: unknown species '{s}'"
-                )
+        labels = _labels(labels, species, f"scan.arrangements.{label}")
         arrangements[str(label)] = tuple(species[s] for s in labels)
-    method = str(scan_node.get("method", "both"))
-    if method not in ("soft-mode", "order-parameter", "both"):
-        raise ScenarioError(f"scan.method: unknown method '{method}'")
+    method = _choice(scan_node.get("method", "both"), "scan.method",
+                     ("soft-mode", "order-parameter", "both"))
     alpha_min = _number(scan_node.get("alpha_min", 0.05), "scan.alpha_min", 0.0)
     alpha_max = _number(scan_node.get("alpha_max", 0.95), "scan.alpha_max", 0.0)
     if alpha_max <= alpha_min:
@@ -264,7 +274,7 @@ def parse_scenario(path) -> Scenario:
         alpha_min=alpha_min,
         alpha_max=alpha_max,
         points=_integer(scan_node.get("points", 16), "scan.points", minimum=2),
-        critical=bool(scan_node.get("critical", True)),
+        critical=_flag(scan_node.get("critical", True), "scan.critical"),
         method=method,
     )
 
@@ -274,21 +284,15 @@ def parse_scenario(path) -> Scenario:
         {"axis", "field_v_per_m", "damping_khz", "min_khz", "max_khz", "step_khz"},
         "response",
     )
-    raxis = str(resp_node.get("axis", "x"))
-    if raxis not in ("x", "y", "z"):
-        raise ScenarioError(f"response.axis: expected x, y or z, got '{raxis}'")
+    raxis = _choice(resp_node.get("axis", "x"), "response.axis", _AXES)
     rmin = _number(resp_node.get("min_khz", 100.0), "response.min_khz", 0.0)
     rmax = _number(resp_node.get("max_khz", 1200.0), "response.max_khz", 0.0)
     if rmax <= rmin:
         raise ScenarioError("response.max_khz: must exceed response.min_khz")
-    field_amp = resp_node.get("field_v_per_m", 1e-3)
-    if isinstance(field_amp, bool) or not isinstance(field_amp, (int, float)):
-        raise ScenarioError("response.field_v_per_m: expected a number")
-    if field_amp < 0.0:
-        raise ScenarioError("response.field_v_per_m: must be non-negative")
     response = ResponseParams(
         axis=raxis,
-        field_v_per_m=float(field_amp),
+        field_v_per_m=_number(resp_node.get("field_v_per_m", 1e-3),
+                              "response.field_v_per_m", 0.0, inclusive=True),
         damping_khz=_number(resp_node.get("damping_khz", 1.0), "response.damping_khz", 0.0),
         min_khz=rmin,
         max_khz=rmax,
@@ -302,22 +306,14 @@ def parse_scenario(path) -> Scenario:
     mode = render_node.get("mode")
     if mode is not None:
         mode = _integer(mode, "render.mode", minimum=0)
-    amplitude = render_node.get("amplitude_um", 0.0)
-    if isinstance(amplitude, bool) or not isinstance(amplitude, (int, float)):
-        raise ScenarioError("render.amplitude_um: expected a number")
-    if amplitude < 0.0:
-        raise ScenarioError("render.amplitude_um: must be non-negative")
-    background = render_node.get("background", 0.0)
-    if isinstance(background, bool) or not isinstance(background, (int, float)):
-        raise ScenarioError("render.background: expected a number")
-    if background < 0.0:
-        raise ScenarioError("render.background: must be non-negative")
     render = RenderParams(
         mode=mode,
-        amplitude_um=float(amplitude),
-        noise=bool(render_node.get("noise", False)),
+        amplitude_um=_number(render_node.get("amplitude_um", 0.0),
+                             "render.amplitude_um", 0.0, inclusive=True),
+        noise=_flag(render_node.get("noise", False), "render.noise"),
         flux=_number(render_node.get("flux", 1e4), "render.flux", 0.0),
-        background=float(background),
+        background=_number(render_node.get("background", 0.0),
+                           "render.background", 0.0, inclusive=True),
     )
 
     return Scenario(

@@ -183,6 +183,11 @@ class StabilityReport:
     max_force: float
 
 
+def _reference_length(family: AnisotropyFamily) -> float:
+    """Length scale for classify: the reference species' at alpha_x = 1."""
+    return characteristic_length(family.reference, family.frequencies_at(1.0).omega_z)
+
+
 def _linear_chain(
     family: AnisotropyFamily, ions: Sequence[IonSpecies]
 ) -> CrystalConfiguration:
@@ -309,10 +314,7 @@ def critical_anisotropy(
         alpha_soft = _soft_mode_alpha(family, ions)
         _check_bracket(alpha_soft, lo, hi, widen)
     if method in ("order-parameter", "both"):
-        ell = characteristic_length(
-            family.reference,
-            frequencies_for_species(family.trap_at(1.0), family.reference).omega_z,
-        )
+        ell = _reference_length(family)
 
         def relaxed_nonlinear(a: float) -> bool:
             cfg = find_equilibrium(family.trap_at(a), ions, seed=seed)
@@ -359,10 +361,7 @@ def scan_configurations(
     checked for a monotone phase boundary.
     """
     alphas = sorted(float(a) for a in alphas)
-    ell = characteristic_length(
-        family.reference,
-        frequencies_for_species(family.trap_at(1.0), family.reference).omega_z,
-    )
+    ell = _reference_length(family)
     points: list[PhasePoint] = []
     for label, ions in arrangements.items():
         ions = tuple(ions)

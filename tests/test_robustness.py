@@ -104,3 +104,32 @@ def test_minima_are_never_higher_than_the_committed_grid(family):
             worse.append((case["charges"], case["ratio"], kind, rel))
     assert not worse, worse
 
+
+
+def test_spot_fit_default_separation_skips_noise_bumps(family, ca, ca2):
+    # the measure-pipeline render of 6 ions with the Ca2+ outermost: top
+    # mode smeared by 0.3 um, Poisson noise; a fixed 4 px separation took a
+    # noise bump on one spot's flank for a second spot (18 um off)
+    trap = family.trap_at(0.048)
+    config = ic.find_equilibrium(trap, [ca2] + [ca] * 5, seed=0)
+    modes = ic.normal_modes(trap, config)
+    desc = ic.mode_descriptor(modes, len(modes.frequencies) - 1)
+    model = ic.ProjectionModel()
+    uv = ic.project(config.positions, model)
+    bright = ic.fluorescing(config)
+    image = ic.render(
+        uv,
+        model,
+        bright=bright,
+        amplitudes_um=0.3 * desc.ion_amplitudes,
+        directions=np.array([ic.project_direction(row, model) for row in desc.pattern]),
+        flux=1e4,
+        background=2.0,
+        rng=np.random.default_rng(1924363861),
+    )
+    expected = uv[bright][np.argsort(uv[bright][:, 0])]
+    fitted, _ = ic.fit_positions(image, int(bright.sum()))
+    assert np.abs(fitted - expected).max() < 0.1
+    # an explicit separation is used as given
+    fitted, _ = ic.fit_positions(image, int(bright.sum()), min_separation_px=4)
+    assert np.abs(fitted - expected).max() > 10.0

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import math
 from pathlib import Path
@@ -79,12 +80,30 @@ def test_error_messages_carry_field_paths(scenario_file):
             "frequencies_khz: [630.0, 480.0, 119.0]",
             "trap.frequencies_khz",
         ),
+        # flags must be YAML booleans, not strings or lists
+        ("seed: 1", 'seed: 1\nequilibrium: {both_branches: "false"}',
+         "equilibrium.both_branches"),
+        ("seed: 1", 'seed: 1\nscan: {critical: "no"}', "scan.critical"),
+        ("  noise: true", "  noise: [1]", "render.noise"),
+        # species labels must be strings
+        ("ions: [ca, ca2, ca]", "ions: [ca, [ca], ca]", "ions[1]"),
+        ("seed: 1", "seed: 1\nscan: {arrangements: {a: [ca, {x: 1}]}}",
+         "scan.arrangements.a[1]"),
+        # one enum check, one inclusive lower bound
+        ("  axis: x\nresponse", "  axis: q\nresponse", "modes.axis"),
+        ("axis: x\n  field", "axis: [x]\n  field", "response.axis"),
+        ("seed: 1", "seed: 1\nscan: {method: fast}", "scan.method"),
+        ("field_v_per_m: 1.0e-3", "field_v_per_m: -1.0", "response.field_v_per_m"),
+        ("background: 2.0", "background: .nan", "render.background"),
+        ("  flux:", "  amplitude_um: true\n  flux:", "render.amplitude_um"),
     ]
     for old, new, needle in cases:
         path = scenario_file(MINIMAL.replace(old, new))
         with pytest.raises(ic.ScenarioError) as err:
             parse_scenario(path)
         assert needle in str(err.value)
+        # every input fault exits 2 with the field path, never a traceback
+        assert main(["calibrate", "--scenario", str(path), "--out", str(path.parent)]) == 2
 
 
 def test_unknown_top_level_key(scenario_file):
@@ -206,3 +225,63 @@ def test_cli_scan_reports_critical_points(tmp_path):
     assert 0.36 <= crit["outer"] <= 0.38
     phase = list(csv.DictReader(open(tmp_path / "phase_map.csv")))
     assert {r["arrangement"] for r in phase} == set(crit)
+
+
+EMITTED = {
+    "calibrate": ({"trap.csv", "species.csv"}, {"calibrate.json"}),
+    "equilibrium": (
+        {"positions.csv", "positions_mirror.csv", "equilibrium_summary.csv"},
+        {"equilibrium.json"},
+    ),
+    "modes": ({"modes.csv", "eigenvectors.csv", "modes_summary.csv"}, {"modes.json"}),
+    "scan": ({"phase_map.csv", "critical.csv"}, {"scan.json"}),
+    "response": ({"response.csv", "peaks.csv"}, {"response.json"}),
+    "render": (
+        {"crystal.pgm", "crystal.json", "projection.csv"},
+        {"crystal.pgm", "crystal.json"},
+    ),
+}
+
+
+@pytest.mark.parametrize("critical", [True, False])
+def test_cli_writes_exactly_its_files(tmp_path, scenario_file, critical):
+    text = MINIMAL.replace("seed: 1", (
+        "seed: 1\nequilibrium: {both_branches: true}\n"
+        f"scan: {{alpha_min: 0.3, alpha_max: 0.5, points: 3, "
+        f"critical: {str(critical).lower()}}}"
+    ))
+    path = scenario_file(text)
+    for command, (csv_files, record_files) in EMITTED.items():
+        if command == "scan" and not critical:
+            csv_files = csv_files - {"critical.csv"}
+        for fmt, expected in (("csv", csv_files), ("record", record_files)):
+            out = tmp_path / f"{command}-{fmt}"
+            assert main([command, "--scenario", str(path), "--out", str(out),
+                         "--format", fmt]) == 0
+            assert {f.name for f in out.iterdir()} == expected, (command, fmt)
+    record = json.loads((tmp_path / "scan-record" / "scan.json").read_text())
+    assert len(record["critical"]) == (1 if critical else 0)
+    assert len(record["phase_map"]) == 3
+    record = json.loads((tmp_path / "equilibrium-record" / "equilibrium.json").read_text())
+    assert len(record["mirror_ions"]) == len(record["ions"]) == 3
+
+
+def test_reproduce_results_script(tmp_path, monkeypatch, capsys):
+    path = SCENARIOS.parent / "scripts" / "reproduce_results.py"
+    spec = importlib.util.spec_from_file_location("reproduce_results", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--out", str(tmp_path)])
+    assert {f.name for f in tmp_path.iterdir()} == {
+        "lengths.csv", "critical.csv", "spectrum.csv", "response_fits.csv",
+        "central_mode8.pgm", "outer_noisy.pgm", "outer_noisy.json",
+    }
+    crit = {r["arrangement"]: r for r in csv.DictReader(open(tmp_path / "critical.csv"))}
+    for detector in ("soft_mode", "order_parameter"):
+        alpha = {label: float(row[detector]) for label, row in crit.items()}
+        assert alpha["pure"] == pytest.approx(5.0 / 12.0, abs=1e-3)
+        assert 0.36 <= alpha["outer"] <= 0.38
+        assert alpha["outer"] < alpha["pure"] < alpha["central"]
+    lengths = list(csv.DictReader(open(tmp_path / "lengths.csv")))
+    assert float(lengths[1]["ratio_to_pure"]) == pytest.approx((9.0 / 5.0) ** (1.0 / 3.0), rel=1e-3)
+    assert json.loads((tmp_path / "outer_noisy.json").read_text())["fit_error_um"] < 1.0
