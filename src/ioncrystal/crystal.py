@@ -5,10 +5,12 @@ The potential of N ions in a calibrated trap is
     E = sum_i M_i/2 (wx_i^2 x_i^2 + wy_i^2 y_i^2 + wz_i^2 z_i^2)
       + sum_{i<j} k q_i q_j / |r_i - r_j|
 
-with per-species secular frequencies from the trap model. Every
-equilibrium comes from one energy-descent Newton loop (`_relax`), run in
+with per-species secular frequencies from the trap model. Solves run in
 dimensionless coordinates (length unit: Coulomb length of the first
-ion's species; Nocedal & Wright, Numerical Optimization, ch. 3 and 4).
+ion's species). `axial_equilibrium` finds the linear chain by a damped
+Newton on z alone: the energy of an ordered chain is strictly convex.
+Every other equilibrium comes from one energy-descent Newton loop
+(`_relax`; Nocedal & Wright, Numerical Optimization, ch. 3 and 4).
 Each step solves with the analytic Hessian. Where it is indefinite its
 mass-weighted eigenvalues are replaced by their absolute values, and the
 step pushes along the lowest mode while that mode is unstable. A trust
@@ -16,9 +18,8 @@ radius tied to the smallest ion spacing bounds every ion's step, and a
 step is accepted only if it lowers the energy. The loop stops at a
 stationary point (`is_stationary`) with no unstable direction.
 
-`axial_equilibrium` runs the loop on z alone, keeping the ions in order.
-`find_equilibrium` runs it on all three axes, from that linear chain
-with small transverse offsets or from given positions. For crystals of
+`find_equilibrium` runs the loop on all three axes, from the linear
+chain with small transverse offsets or from given positions. For crystals of
 up to _BRANCH_MAX_IONS ions, the first push off an unstable point
 follows each of the lowest _BRANCHES unstable modes in turn, and the
 lowest minimum wins (minimum selection: deep in the buckled phase
@@ -272,13 +273,11 @@ def _relax(
     w2: np.ndarray,
     scale: float,
     *,
-    keep_order: bool = False,
     branch: bool = False,
     first_mode: int = 0,
     max_escapes: int = 8,
-    max_steps: int = _MAX_STEPS,
 ) -> np.ndarray:
-    """Energy-descent Newton from u (shape (N, d), in units of scale) to a minimum.
+    """Energy-descent Newton from u (shape (N, 3), in units of scale) to a minimum.
 
     Each step solves H p = -g. Where the Hessian is not positive definite,
     its mass-weighted eigenvalues are replaced by their absolute values
@@ -290,10 +289,10 @@ def _relax(
     directions first. The radius doubles after a full step and shrinks to
     what the line search kept. A step is accepted on an Armijo energy
     decrease; when the Hessian has no unstable direction and the energy
-    change is round-off, on a smaller largest force instead. keep_order
-    rejects steps that reorder a one-dimensional chain. The loop stops
-    when the configuration is stationary (is_stationary's test) with no
-    unstable mode.
+    change is round-off, on a smaller largest force instead. The loop
+    stops when the configuration is stationary (is_stationary's test)
+    with no unstable mode. The ordered linear chain needs none of this
+    machinery: axial_equilibrium solves it by a damped Newton on z.
 
     Minimum selection: the first push moves _FIRST_PUSH spacings along
     unstable mode first_mode (0 the lowest, 1 the next, ...). With branch,
@@ -322,7 +321,7 @@ def _relax(
     escapes = 0
     pushed = False
     alternatives: list[np.ndarray] = []
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         H = _hessian(u * scale, masses, charges, w2) * (scale**2 / e0)
         try:
             np.linalg.cholesky(H)
@@ -372,7 +371,7 @@ def _relax(
                     try:
                         alternatives.append(_relax(
                             u, masses, charges, w2, scale, first_mode=other,
-                            max_escapes=max_escapes - escapes, max_steps=max_steps,
+                            max_escapes=max_escapes - escapes,
                         ))
                     except SolverError:
                         pass
@@ -390,13 +389,12 @@ def _relax(
         t = 1.0
         while True:
             trial = u + t * p
-            if not keep_order or np.all(np.diff(trial[:, 0]) > 0.0):
-                e_t, g_t, stationary_t = evaluate(trial)
-                if unstable == 0 and abs(e_t - e) <= _ROUNDOFF * abs(e):
-                    if np.abs(g_t).max() < gmax:
-                        break
-                elif e_t <= e + _ARMIJO * t * slope:
+            e_t, g_t, stationary_t = evaluate(trial)
+            if unstable == 0 and abs(e_t - e) <= _ROUNDOFF * abs(e):
+                if np.abs(g_t).max() < gmax:
                     break
+            elif e_t <= e + _ARMIJO * t * slope:
+                break
             t *= 0.5
             if t < 1e-10:
                 if unstable:
@@ -409,12 +407,22 @@ def _relax(
         u, e, g, stationary = trial, e_t, g_t, stationary_t
         radius = min(2.0 * radius, _MAX_RADIUS) if t == 1.0 else t * length / spacing
     else:
-        raise ConvergenceError(f"equilibrium solve did not converge in {max_steps} steps")
+        raise ConvergenceError(f"equilibrium solve did not converge in {_MAX_STEPS} steps")
     for alt in alternatives:
         e_alt = evaluate(alt)[0]
         if e_alt < e - 1e-12 * abs(e):
             u, e = alt, e_alt
     return u
+
+
+def _arrays(trap: TrapModel, ions: Sequence[IonSpecies]):
+    """Masses, charges and squared frequencies (N, 3) of a solve, and its
+    length unit: the first ion's Coulomb length at its axial frequency,
+    which depends on the static curvature alone."""
+    w2 = _squared_frequencies(trap, ions)
+    masses = np.array([s.mass for s in ions])
+    charges = np.array([s.charge for s in ions])
+    return masses, charges, w2, characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
 
 
 def axial_equilibrium(
@@ -424,36 +432,58 @@ def axial_equilibrium(
 ) -> np.ndarray:
     """Equilibrium z positions (metres) of the linear chain, ions kept in order.
 
-    Runs the equilibrium descent loop on z alone, from an equally spaced
-    seed, rejecting every step that would reorder the ions. The
-    one-dimensional energy of an ordered chain is strictly convex, so the
-    loop needs no negative-curvature handling here. The result does not
-    depend on the transverse confinement, so it parametrises the whole
-    linear branch of a radial stiffness scan. max_iter bounds the loop's
-    steps (ConvergenceError beyond it).
+    A damped Newton on z alone (James, Appl. Phys. B 66, 181, 1998), in
+    units of the first ion's Coulomb length, from an equally spaced seed.
+    The energy of an ordered chain is strictly convex, so each full
+    Newton step is only halved until the ions stay in order and the
+    energy falls or, once energy changes are round-off, the largest force
+    falls. It stops on is_stationary's test. The result depends on the
+    static axial curvature alone, so it is the same array at every
+    transverse confinement. max_iter bounds the steps (ConvergenceError
+    beyond it).
     """
     ions = tuple(ions)
-    if len(ions) == 1:
-        return np.zeros(1)
-    w2 = _squared_frequencies(trap, ions)
-    masses = np.array([s.mass for s in ions])
-    charges = np.array([s.charge for s in ions])
-    scale = characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
-    return _axial_chain(masses, charges, w2, scale, max_iter) * scale
+    n = len(ions)
+    masses, charges, w2, scale = _arrays(trap, ions)
+    w2 = w2[:, 2:]
+    e0 = K_COULOMB * charges[0] ** 2 / scale
+
+    def evaluate(u: np.ndarray):
+        e, g, f = _energy_gradient(u[:, None] * scale, masses, charges, w2)
+        return e / e0, g[:, 0] * (scale / e0), _stationary(g, f)
+
+    u = (np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559
+    e, g, stationary = evaluate(u)
+    for _ in range(max_iter):
+        if stationary:
+            return u * scale
+        H = _hessian(u[:, None] * scale, masses, charges, w2) * (scale**2 / e0)
+        p = np.linalg.solve(H, g)
+        t = 1.0
+        while True:
+            trial = u - t * p
+            if np.all(np.diff(trial) > 0.0):
+                e_t, g_t, stationary_t = evaluate(trial)
+                if abs(e_t - e) <= _ROUNDOFF * abs(e):
+                    if np.abs(g_t).max() < np.abs(g).max():
+                        break
+                elif e_t < e:
+                    break
+            t *= 0.5
+            if t < 1e-10:
+                raise ConvergenceError("axial equilibrium stalled above the force tolerance")
+        u, e, g, stationary = trial, e_t, g_t, stationary_t
+    raise ConvergenceError(f"axial equilibrium did not converge in {max_iter} steps")
 
 
-def _axial_chain(
-    masses: np.ndarray,
-    charges: np.ndarray,
-    w2: np.ndarray,
-    scale: float,
-    max_steps: int = _MAX_STEPS,
-) -> np.ndarray:
-    """z of the ordered linear chain in units of scale: the loop on z alone."""
-    n = len(masses)
-    u = ((np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559)[:, None]
-    u = _relax(u, masses, charges, w2[:, 2:], scale, keep_order=True, max_steps=max_steps)
-    return u[:, 0]
+def _cold_start(trap, ions, z, rng, perturbation=1e-8) -> np.ndarray:
+    """Start of a cold solve, metres: the linear chain z with transverse
+    offsets of size perturbation, drawn from rng in the solve's length unit."""
+    scale = _arrays(trap, ions)[3]
+    start = np.zeros((len(z), 3))
+    start[:, 2] = z
+    start[:, :2] = rng.standard_normal((len(z), 2)) * (perturbation / scale) * scale
+    return start
 
 
 def find_equilibrium(
@@ -512,35 +542,27 @@ def find_equilibrium(
     for s in set(ions):
         frequencies_for_species(trap, s)
 
-    w2 = _squared_frequencies(trap, ions)
     if n == 1:  # a lone ion sits at the trap centre
         origin = CrystalConfiguration(ions, np.zeros((1, 3)))
         return (origin, origin) if both_branches else origin
-    masses = np.array([s.mass for s in ions])
-    charges = np.array([s.charge for s in ions])
-    scale = characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
+    masses, charges, w2, scale = _arrays(trap, ions)
 
-    def solve_from(u0: np.ndarray) -> CrystalConfiguration:
+    def solve_from(start: np.ndarray) -> CrystalConfiguration:
         u = _relax(
-            u0, masses, charges, w2, scale,
+            start / scale, masses, charges, w2, scale,
             branch=n <= _BRANCH_MAX_IONS, max_escapes=max_escapes,
         )
         return CrystalConfiguration(ions, u * scale)
 
     if initial is not None:
-        return solve_from(initial / scale)
+        return solve_from(initial)
 
-    z = _axial_chain(masses, charges, w2, scale)
+    z = axial_equilibrium(trap, ions)
     rng = np.random.default_rng(seed)
+    starts = [_cold_start(trap, ions, z, rng, perturbation) for _ in range(restarts)]
     best: tuple[float, CrystalConfiguration] | None = None
-    first_seed: np.ndarray | None = None
-    for _ in range(restarts):
-        u0 = np.zeros((n, 3))
-        u0[:, 2] = z
-        u0[:, :2] = rng.standard_normal((n, 2)) * (perturbation / scale)
-        if first_seed is None:
-            first_seed = u0.copy()
-        config = solve_from(u0)
+    for start in starts:
+        config = solve_from(start)
         e = _energy_gradient(config.positions, masses, charges, w2)[0]
         if (
             best is None
@@ -552,11 +574,11 @@ def find_equilibrium(
         ):
             best = (e, config)
 
-    assert best is not None and first_seed is not None
+    assert best is not None
     if not both_branches:
         return best[1]
-    first_seed[:, 0] *= -1.0
-    return best[1], solve_from(first_seed)
+    starts[0][:, 0] *= -1.0
+    return best[1], solve_from(starts[0])
 
 
 def classify(

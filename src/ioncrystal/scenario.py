@@ -107,6 +107,9 @@ class Scenario:
 
 
 _AXES = ("x", "y", "z")
+# Largest response sweep, (max_khz - min_khz) / step_khz + 1 points; the
+# checked-in scenarios use 5501.
+_MAX_SWEEP_POINTS = 1_000_000
 
 
 def _require(mapping, key, where):
@@ -118,13 +121,19 @@ def _require(mapping, key, where):
 
 
 def _number(value, where, minimum=None, inclusive=False):
-    """A float above minimum (or at least minimum when inclusive)."""
+    """A finite float above minimum (or at least minimum when inclusive)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
-    if minimum is not None and not (value >= minimum if inclusive else value > minimum):
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ScenarioError(f"{where}: must be finite, got {value!r}")
+    if minimum is not None and not (number >= minimum if inclusive else number > minimum):
         bound = ">=" if inclusive else ">"
         raise ScenarioError(f"{where}: must be {bound} {minimum}, got {value}")
-    return float(value)
+    return number
 
 
 def _integer(value, where, minimum=None):
@@ -289,6 +298,13 @@ def parse_scenario(path) -> Scenario:
     rmax = _number(resp_node.get("max_khz", 1200.0), "response.max_khz", 0.0)
     if rmax <= rmin:
         raise ScenarioError("response.max_khz: must exceed response.min_khz")
+    step = _number(resp_node.get("step_khz", 0.2), "response.step_khz", 0.0)
+    points = (rmax - rmin) / step + 1.0
+    if not points <= _MAX_SWEEP_POINTS:
+        raise ScenarioError(
+            f"response.step_khz: {step} kHz from {rmin} to {rmax} kHz gives "
+            f"{points:.3g} sweep points, more than {_MAX_SWEEP_POINTS}"
+        )
     response = ResponseParams(
         axis=raxis,
         field_v_per_m=_number(resp_node.get("field_v_per_m", 1e-3),
@@ -296,7 +312,7 @@ def parse_scenario(path) -> Scenario:
         damping_khz=_number(resp_node.get("damping_khz", 1.0), "response.damping_khz", 0.0),
         min_khz=rmin,
         max_khz=rmax,
-        step_khz=_number(resp_node.get("step_khz", 0.2), "response.step_khz", 0.0),
+        step_khz=step,
     )
 
     render_node = _section(doc, "render")

@@ -4,7 +4,10 @@ The scan knob is the trap anisotropy alpha = (omega_z / omega_x)^2 of a
 singly charged reference species; it is varied by changing the rf field
 gradient while the static curvatures stay fixed. This leaves the axial
 problem untouched, so the linear chain is the same configuration at
-every alpha and only its transverse stability changes.
+every alpha, bit for bit, and only its transverse stability changes. A
+critical search therefore solves the chain once: it gives the soft-mode
+Hessian and the start of every order-parameter relaxation, which is the
+array a cold find_equilibrium at that alpha would build from it.
 
 Two independent detectors locate the critical anisotropy. The soft
 mode is closed form: at the fixed linear chain the transverse x-block of
@@ -34,6 +37,7 @@ from .crystal import (
     STATIONARY_REL,
     CrystalConfiguration,
     StructureClass,
+    _cold_start,
     _force_scale,
     _mass_weighted_eigh,
     _unstable_count,
@@ -198,7 +202,7 @@ def _linear_chain(
     return CrystalConfiguration(tuple(ions), pos)
 
 
-def _soft_mode_alpha(family: AnisotropyFamily, ions: Sequence[IonSpecies]) -> float:
+def _soft_mode_alpha(family: AnisotropyFamily, chain: CrystalConfiguration) -> float:
     """Exact alpha_x at which the linear chain's transverse x-block turns soft.
 
     Along the family only the rf term of the x curvature changes, as
@@ -208,7 +212,6 @@ def _soft_mode_alpha(family: AnisotropyFamily, ions: Sequence[IonSpecies]) -> fl
     positive definite while 1/alpha > lambda_max(-A, B). Returns inf when
     that eigenvalue is not positive: the chain never buckles.
     """
-    chain = _linear_chain(family, ions)
     ref = family.reference
     ratio = (chain.charges / chain.masses) / (ref.charge / ref.mass)
     B = chain.masses * ratio**2 * (4.0 * ref.charge * family.axial_curvature / ref.mass)
@@ -252,20 +255,18 @@ def _confirm_by_probes(predicate, alpha: float, tolerance: float) -> float | Non
 
 def _bisect_predicate(predicate, lo, hi, tol, widen):
     """Find the switch point of a monotone predicate, False at lo, True at hi."""
-    if predicate(lo):
+    while predicate(lo):
         if not widen:
             raise BracketError(f"bracket [{lo}, {hi}] already unstable at {lo}")
-        while predicate(lo):
-            lo *= 0.5
-            if lo < _ALPHA_MIN:
-                raise BracketError(f"no stable point above alpha = {_ALPHA_MIN}")
-    if not predicate(hi):
+        lo *= 0.5
+        if lo < _ALPHA_MIN:
+            raise BracketError(f"no stable point above alpha = {_ALPHA_MIN}")
+    while not predicate(hi):
         if not widen:
             raise BracketError(f"bracket [{lo}, {hi}] still stable at {hi}")
-        while not predicate(hi):
-            hi *= 2.0
-            if hi > _ALPHA_MAX:
-                raise BracketError(f"no transition below alpha = {_ALPHA_MAX}")
+        hi *= 2.0
+        if hi > _ALPHA_MAX:
+            raise BracketError(f"no transition below alpha = {_ALPHA_MAX}")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if predicate(mid):
@@ -309,15 +310,19 @@ def critical_anisotropy(
     if not 0.0 < lo < hi:
         raise ValueError(f"invalid bracket {bracket}")
 
+    chain = _linear_chain(family, ions)
     alpha_soft = alpha_order = None
     if method in ("soft-mode", "both"):
-        alpha_soft = _soft_mode_alpha(family, ions)
+        alpha_soft = _soft_mode_alpha(family, chain)
         _check_bracket(alpha_soft, lo, hi, widen)
     if method in ("order-parameter", "both"):
         ell = _reference_length(family)
+        start = _cold_start(
+            family.trap_at(1.0), ions, chain.positions[:, 2], np.random.default_rng(seed)
+        )
 
         def relaxed_nonlinear(a: float) -> bool:
-            cfg = find_equilibrium(family.trap_at(a), ions, seed=seed)
+            cfg = find_equilibrium(family.trap_at(a), ions, initial=start)
             return classify(cfg, length_scale=ell).kind != "linear"
 
         if alpha_soft is not None:

@@ -77,6 +77,22 @@ def test_long_axial_chains_match_the_oracle(family, ca, ca2, n, impurity):
     assert np.all(np.diff(z) > 0.0)
 
 
+def test_axial_chains_of_random_mixtures_match_the_oracle(family):
+    # charges 1-3 and masses 6-200 amu, chains of 2-100 ions
+    oracle = _oracle()
+    ref = oracle.Trap.from_khz(480.0, 630.0, 119.0)
+    trap = family.trap_at(1.0)
+    rng = np.random.default_rng(20130)
+    for _ in range(30):
+        n = int(rng.integers(2, 101))
+        charges = [int(q) for q in rng.integers(1, 4, n)]
+        masses = [float(m) for m in rng.uniform(6.0, 200.0, n)]
+        z = ic.axial_equilibrium(trap, [ic.IonSpecies(q, m) for q, m in zip(charges, masses)])
+        exact = oracle.axial_chain(ref, oracle.Ions(tuple(charges), tuple(masses)))
+        assert np.all(np.diff(z) > 0.0)
+        assert np.abs(z - exact).max() <= 1e-9 * np.abs(exact).max(), (charges, masses)
+
+
 def test_order_parameter_search_for_a_former_stalling_seed(family, ca, ca2):
     ions = [ca] * 4 + [ca2] + [ca] * 3
     cp = ic.critical_anisotropy(family, ions, method="both", seed=303069535)

@@ -95,6 +95,14 @@ def test_error_messages_carry_field_paths(scenario_file):
         ("seed: 1", "seed: 1\nscan: {method: fast}", "scan.method"),
         ("field_v_per_m: 1.0e-3", "field_v_per_m: -1.0", "response.field_v_per_m"),
         ("background: 2.0", "background: .nan", "render.background"),
+        # every number must be finite, even where only a lower bound applies
+        ("damping_khz: 1.0", "damping_khz: .inf", "response.damping_khz"),
+        ("rf_mhz: 10.66", "rf_mhz: -.inf", "trap.rf_mhz"),
+        ("flux: 10000.0", "flux: 1" + "0" * 400, "render.flux"),
+        ("seed: 1", "seed: 1\nscan: {alpha_min: .nan}", "scan.alpha_min"),
+        # a response sweep of at most a million points, refused before any
+        # grid exists (7e8 points here)
+        ("step_khz: 0.2", "step_khz: 1.0e-6", "response.step_khz"),
         ("  flux:", "  amplitude_um: true\n  flux:", "render.amplitude_um"),
     ]
     for old, new, needle in cases:
@@ -104,6 +112,30 @@ def test_error_messages_carry_field_paths(scenario_file):
         assert needle in str(err.value)
         # every input fault exits 2 with the field path, never a traceback
         assert main(["calibrate", "--scenario", str(path), "--out", str(path.parent)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, old, new, needle",
+    [
+        ("scan", "seed: 1", "seed: 1\nscan: {alpha_max: .inf, points: 3}", "scan.alpha_max"),
+        ("response", "step_khz: 0.2", "step_khz: 1.0e-300", "response.step_khz"),
+    ],
+    ids=["scan-alpha-max-inf", "response-step-1e-300"],
+)
+def test_non_finite_and_oversized_inputs_exit_2(tmp_path, scenario_file, capsys,
+                                                command, old, new, needle):
+    # both used to end in a ValueError traceback (exit 1)
+    path = scenario_file(MINIMAL.replace(old, new))
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert needle in capsys.readouterr().err
+
+
+def test_sweep_size_bound(scenario_file):
+    # 700 kHz in steps of 1 Hz is within the million points, half that step is not
+    text = MINIMAL.replace("step_khz: 0.2", "step_khz: 0.001")
+    assert parse_scenario(scenario_file(text)).response.step_khz == 0.001
+    with pytest.raises(ic.ScenarioError, match="response.step_khz"):
+        parse_scenario(scenario_file(MINIMAL.replace("step_khz: 0.2", "step_khz: 0.0005")))
 
 
 def test_unknown_top_level_key(scenario_file):

@@ -259,3 +259,64 @@ def test_continuation_scan_matches_cold_solves(family, ca, ca2):
                 e_cold = ic.potential_energy(trap, cold)
                 e_warm = ic.potential_energy(trap, warm)
                 assert e_warm <= e_cold + 1e-12 * abs(e_cold)
+
+
+def _count_axial_solves(monkeypatch):
+    """Count axial_equilibrium calls, whichever module makes them."""
+    calls = []
+    solve = ic.crystal.axial_equilibrium
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ic.crystal, "axial_equilibrium", counted)
+    monkeypatch.setattr(transitions, "axial_equilibrium", counted)
+    return calls
+
+
+@pytest.mark.parametrize("probes", [True, False], ids=["probes", "bisection"])
+def test_critical_search_solves_the_chain_once(family, ca, ca2, monkeypatch, probes):
+    ions = [ca, ca2, ca, ca]
+    if not probes:
+        monkeypatch.setattr(transitions, "_confirm_by_probes", lambda *args: None)
+    calls = _count_axial_solves(monkeypatch)
+    starts = []
+    solve = transitions.find_equilibrium
+
+    def relax(trap, ions, **kwargs):
+        starts.append(kwargs.get("initial"))
+        return solve(trap, ions, **kwargs)
+
+    monkeypatch.setattr(transitions, "find_equilibrium", relax)
+    cp = ic.critical_anisotropy(family, ions, method="both", seed=3)
+    assert abs(cp.cross_check - cp.alpha_x) <= 1e-3
+    # one axial solve, and no relaxation solves the chain again on its own
+    assert len(calls) == 1
+    assert (len(starts) == 2) if probes else (len(starts) > 2)
+    assert all(start is not None for start in starts)
+
+
+def test_probes_relax_exactly_as_cold_solves(family, ca, ca2, monkeypatch):
+    ions = [ca2, ca, ca, ca, ca]
+    seed, tol = 11, 1e-4
+    probes = []
+    solve = transitions.find_equilibrium
+
+    def recorded(trap, ions, **kwargs):
+        config = solve(trap, ions, **kwargs)
+        probes.append((trap, config))
+        return config
+
+    monkeypatch.setattr(transitions, "find_equilibrium", recorded)
+    cp = ic.critical_anisotropy(family, ions, method="both", seed=seed, tolerance=tol)
+    monkeypatch.undo()
+    assert [trap for trap, _ in probes] == [
+        family.trap_at(cp.alpha_x - 0.5 * tol), family.trap_at(cp.alpha_x + 0.5 * tol)
+    ]
+    kinds = []
+    for trap, config in probes:
+        cold = ic.find_equilibrium(trap, ions, seed=seed)
+        assert np.array_equal(config.positions, cold.positions)
+        kinds.append(ic.classify(config, length_scale=transitions._reference_length(family)).kind)
+    assert kinds[0] == "linear" and kinds[1] != "linear"
