@@ -2,20 +2,24 @@
 """Run every CLI command on every checked-in scenario, in both formats.
 
     PYTHONPATH=src python scripts/cli_golden.py --out DIR
+    python scripts/cli_golden.py --compare PARENT_DIR CHANGE_DIR
 
 Each run writes into DIR/<scenario>/<command>-<format>/. Its exit code
 and its stdout and stderr, with the output directory replaced by
-"<out>", go to DIR/runs.txt, one block per run. Two trees made from two
-versions of the package compare with `diff -r`: a change that does not
-touch the numerics must leave every file byte-identical.
+"<out>", go to DIR/runs.txt, one block per run. A change that does not
+touch the numerics must leave every file of two such trees
+byte-identical. --compare reports, for every CSV that differs, the
+largest relative and absolute change of each numeric column, and for
+every other file whether its bytes match. It exits 0 when the two trees
+are byte-identical and 1 otherwise.
 """
 
 import argparse
 import contextlib
+import csv
 import io
+import math
 from pathlib import Path
-
-from ioncrystal.cli import _COMMANDS, main
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 FORMATS = ("csv", "record")
@@ -23,6 +27,8 @@ FORMATS = ("csv", "record")
 
 def run_all(out: Path) -> list[str]:
     """Run every command x scenario x format under out; return the run log."""
+    from ioncrystal.cli import _COMMANDS, main
+
     log = []
     for scenario in sorted(SCENARIOS.glob("*.yaml")):
         for command in _COMMANDS:
@@ -37,10 +43,76 @@ def run_all(out: Path) -> list[str]:
     return log
 
 
+def _float(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def compare_csv(old: Path, new: Path) -> list[str]:
+    """Per-column differences of two CSV files; [] when nothing differs."""
+    with old.open(newline="") as fh:
+        a = list(csv.reader(fh))
+    with new.open(newline="") as fh:
+        b = list(csv.reader(fh))
+    if not a or not b or a[0] != b[0] or len(a) != len(b):
+        return ["header or row count differs"]
+    lines = []
+    for j, name in enumerate(a[0]):
+        pairs = [(ra[j], rb[j]) for ra, rb in zip(a[1:], b[1:]) if ra[j] != rb[j]]
+        if not pairs:
+            continue
+        nums = [(_float(x), _float(y)) for x, y in pairs]
+        if any(x is None or y is None for x, y in nums):
+            lines.append(f"{name}: {len(pairs)} text values differ")
+            continue
+        rel = absolute = 0.0
+        for x, y in nums:
+            d = abs(x - y)
+            if not math.isfinite(d):  # a non-finite value on one side
+                rel = absolute = math.inf
+            elif d:  # 0.0 against -0.0 is no change
+                absolute = max(absolute, d)
+                rel = max(rel, d / max(abs(x), abs(y)))
+        lines.append(f"{name}: {len(pairs)} values, largest relative change "
+                     f"{rel:.2g}, absolute {absolute:.2g}")
+    return lines
+
+
+def compare_trees(old: Path, new: Path) -> tuple[list[str], bool]:
+    """Report every file of two golden trees; True when all bytes match."""
+    names = sorted({p.relative_to(root) for root in (old, new)
+                    for p in root.rglob("*") if p.is_file()})
+    report = []
+    same = True
+    for name in names:
+        a, b = old / name, new / name
+        if not (a.is_file() and b.is_file()):
+            report.append(f"{name}: only in {old if a.is_file() else new}")
+            same = False
+        elif a.read_bytes() == b.read_bytes():
+            report.append(f"{name}: identical")
+        else:
+            same = False
+            report.append(f"{name}: differs")
+            if name.suffix == ".csv":
+                report.extend(f"  {line}" for line in compare_csv(a, b))
+    return report, same
+
+
 def main_cli(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, required=True, help="output directory")
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--out", type=Path, help="output directory")
+    group.add_argument("--compare", type=Path, nargs=2,
+                       metavar=("PARENT_DIR", "CHANGE_DIR"),
+                       help="compare two output directories")
     args = parser.parse_args(argv)
+    if args.compare:
+        report, same = compare_trees(*args.compare)
+        print("\n".join(report))
+        return 0 if same else 1
     args.out.mkdir(parents=True, exist_ok=True)
     log = run_all(args.out)
     (args.out / "runs.txt").write_text("".join(log))

@@ -10,11 +10,18 @@ opposite weights) stay dark.
 The damped mode coordinate responds with amplitude
 b_m E / sqrt((omega_m^2 - omega_d^2)^2 + (Gamma omega_d)^2); per-ion
 amplitudes sum the mode contributions incoherently, which is the
-envelope a camera integrates over many drive phases.
+envelope a camera integrates over many drive phases. The whole sweep is
+one matrix product of the (G, 3N) mode amplitudes with the mass-scaled
+|eigenvectors|.
+
+Each resonance is fit with its line model's analytic Jacobian in
+(height, centre, width, offset), so the fitter builds no
+finite-difference Jacobian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,13 +45,15 @@ class DriveSpec:
     def __post_init__(self):
         if self.axis not in _AXES:
             raise ValueError(f"axis must be one of {_AXES!r}, got {self.axis!r}")
-        if self.field_amplitude < 0.0:
-            raise ValueError("field_amplitude must be non-negative")
-        if not self.damping_rate > 0.0:
-            raise ValueError("damping_rate must be positive")
+        if not 0.0 <= self.field_amplitude < math.inf:
+            raise ValueError("field_amplitude must be finite and non-negative")
+        if not 0.0 < self.damping_rate < math.inf:
+            raise ValueError("damping_rate must be finite and positive")
         freqs = np.asarray(self.frequencies, dtype=float)
         if freqs.ndim != 1 or len(freqs) < 1:
             raise ValueError("frequencies must be a non-empty 1-d array")
+        if not np.all(np.isfinite(freqs)):
+            raise ValueError("frequencies must be finite")
         if np.any(freqs <= 0.0) or np.any(np.diff(freqs) <= 0.0):
             raise ValueError("frequencies must be positive and strictly increasing")
         object.__setattr__(self, "frequencies", freqs)
@@ -105,11 +114,10 @@ def steady_state(modes: NormalModeSet, drive: DriveSpec, omega_d: float) -> np.n
 
 
 def _per_ion(modes: NormalModeSet, mode_amps: np.ndarray) -> np.ndarray:
+    """Per-ion amplitudes (G, N) from mode amplitudes (G, 3N), by one matmul."""
     cfg = modes.configuration
-    phys = np.abs(modes.vectors.reshape(cfg.n, 3, -1)) / np.sqrt(cfg.masses)[
-        :, None, None
-    ]
-    per_axis = np.einsum("gm,iam->gia", mode_amps, phys)
+    phys = np.abs(modes.vectors) / np.repeat(np.sqrt(cfg.masses), 3)[:, None]
+    per_axis = (mode_amps @ phys.T).reshape(len(mode_amps), cfg.n, 3)
     return np.linalg.norm(per_axis, axis=2)
 
 
@@ -123,10 +131,41 @@ def _gaussian(x, a, c, s, o):
     return a * np.exp(-((x - c) ** 2) / (2.0 * s**2)) + o
 
 
+def _gaussian_jacobian(x, a, c, s, o):
+    """Derivatives of _gaussian by (a, c, s, o), shape (len(x), 4)."""
+    d = x - c
+    e = np.exp(-(d**2) / (2.0 * s**2))
+    return np.column_stack((e, a * e * d / s**2, a * e * d**2 / s**3, np.ones_like(e)))
+
+
 def _lorentzian(x, a, c, g, o):
     return a * g**2 / ((x - c) ** 2 + g**2) + o
 
-_MODELS = {"gaussian": _gaussian, "lorentzian": _lorentzian}
+
+def _lorentzian_jacobian(x, a, c, g, o):
+    """Derivatives of _lorentzian by (a, c, g, o), shape (len(x), 4)."""
+    d = x - c
+    q = 1.0 / (d**2 + g**2)
+    return np.column_stack(
+        (g**2 * q, 2.0 * a * g**2 * d * q**2, 2.0 * a * g * d**2 * q**2, np.ones_like(q))
+    )
+
+
+# each line model with its analytic Jacobian
+_MODELS = {
+    "gaussian": (_gaussian, _gaussian_jacobian),
+    "lorentzian": (_lorentzian, _lorentzian_jacobian),
+}
+
+
+def _local_maxima(s: np.ndarray, level: float) -> list[int]:
+    """Indices k with s[k-1] < s[k] >= s[k+1] and s[k] > max(level, 0).
+
+    A flat top counts once, at its first sample; the end samples never count.
+    """
+    mid = s[1:-1]
+    is_peak = (mid > s[:-2]) & (mid >= s[2:]) & (mid > level) & (mid > 0.0)
+    return (np.flatnonzero(is_peak) + 1).tolist()
 
 
 def _peak_window(s: np.ndarray, k: int, floor_frac: float) -> slice:
@@ -166,16 +205,13 @@ def sweep_and_fit(
     s = curve.amplitudes.max(axis=1)
     x = curve.frequencies
     level = detection_factor * float(np.median(s))
-    peaks = [
-        k
-        for k in range(1, len(s) - 1)
-        if s[k] > s[k - 1] and s[k] >= s[k + 1] and s[k] > level and s[k] > 0.0
-    ]
+    peaks = _local_maxima(s, level)
     if not peaks:
         raise NoPeakError("no resonance above the detection level")
 
     fits = []
     dx = float(np.diff(x).min())
+    f, jac = _MODELS[model]
     for k in peaks:
         win = _peak_window(s, k, floor_frac)
         xs, ys = x[win], s[win]
@@ -187,7 +223,7 @@ def sweep_and_fit(
         base = float(ys.min())
         p0 = [s[k] - base, x[k], max(0.5 * drive.damping_rate, dx), base]
         try:
-            popt, pcov = curve_fit(_MODELS[model], xs, ys, p0=p0, maxfev=20000)
+            popt, pcov = curve_fit(f, xs, ys, p0=p0, jac=jac, maxfev=20000)
         except RuntimeError as exc:
             raise PeakFitError(
                 f"fit failed near {x[k] / (2e3 * np.pi):.1f} kHz: {exc}"

@@ -200,6 +200,8 @@ def parse_scenario(path) -> Scenario:
         mark = getattr(exc, "problem_mark", None)
         at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ScenarioError(f"{path.name}: invalid YAML{at}: {exc}") from exc
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise ScenarioError(f"{path.name}: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path.name}: top level must be a mapping")
     _known_keys(

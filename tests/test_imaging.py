@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 import ioncrystal as ic
+from ioncrystal import imaging
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +129,113 @@ def test_round_trip_noisy(trap, ca, ca2, model):
     fitted, _ = ic.fit_positions(image, int(bright.sum()))
     expected = uv[bright][np.argsort(uv[bright][:, 0])]
     assert np.abs(fitted - expected).max() < 1.0
+
+
+def _full_grid_render(image, pos, model, bright, amps, dirs, flux, background, seed):
+    """Every bright spot summed over every pixel of image's grid."""
+    u, v = image.coords()
+    uu, vv = np.meshgrid(u, v)
+    p = image.um_per_px
+    psf = model.psf_um
+    img = np.zeros(uu.shape)
+    for i in range(len(pos)):
+        if not bright[i]:
+            continue
+        sig_par = math.sqrt(psf**2 + amps[i] ** 2)
+        e = dirs[i] / np.linalg.norm(dirs[i])
+        du = uu - pos[i, 0]
+        dv = vv - pos[i, 1]
+        t_par = du * e[0] + dv * e[1]
+        t_perp = -du * e[1] + dv * e[0]
+        img += (
+            flux
+            * p**2
+            / (2.0 * math.pi * sig_par * psf)
+            * np.exp(-0.5 * ((t_par / sig_par) ** 2 + (t_perp / psf) ** 2))
+        )
+    if seed is not None:
+        return np.random.default_rng(seed).poisson(img + background).astype(float)
+    return img + background if background else img
+
+
+@pytest.mark.parametrize(
+    "pad_um, smear_um, seed, background",
+    list(itertools.product([0.0, None], [0.0, 1.0, 3.0], [None, 11], [0.0, 2.5])),
+)
+def test_windowed_render_matches_the_full_grid(model, pad_um, smear_um, seed, background):
+    # with no pad the outer spots are clipped at all four image edges
+    pos = np.array([[-10.0, -3.0], [0.0, 4.0], [8.0, -6.0], [15.0, 2.0], [3.0, 0.5]])
+    bright = np.array([True, True, False, True, True])
+    amps = smear_um * np.array([0.0, 0.3, 1.0, 0.7, 0.5])
+    angles = np.array([0.0, 0.4, 1.1, 2.3, -0.8])
+    dirs = np.column_stack([np.cos(angles), np.sin(angles)]) * [[1.0], [2.0], [0.5], [1.0], [3.0]]
+    rng = None if seed is None else np.random.default_rng(seed)
+    image = ic.render(pos, model, bright=bright, amplitudes_um=amps, directions=dirs,
+                      flux=3e4, background=background, rng=rng, pad_um=pad_um)
+    expected = _full_grid_render(image, pos, model, bright, amps, dirs, 3e4, background, seed)
+    assert image.intensity.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"directions": [[1.0, 0.0], [0.0, 0.0]]}, "directions"),
+        ({"directions": [[1.0, 0.0], [np.nan, 1.0]]}, "directions"),
+        ({"directions": [[1.0, 0.0]]}, "directions"),
+        ({"amplitudes_um": [0.1, 0.2, 0.3]}, "amplitudes_um"),
+        ({"amplitudes_um": [0.1, np.inf]}, "amplitudes_um"),
+        ({"bright": [True]}, "bright"),
+        ({"positions_um": [[0.0, 0.0], [np.nan, 1.0]]}, "positions_um"),
+        ({"positions_um": [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]}, "positions_um"),
+    ],
+)
+@pytest.mark.parametrize("noisy", [False, True])
+def test_render_names_a_bad_argument(model, kwargs, name, noisy):
+    args = {"positions_um": [[0.0, 0.0], [8.0, 1.0]], **kwargs}
+    rng = np.random.default_rng(0) if noisy else None
+    with pytest.raises(ValueError, match=name):
+        ic.render(args.pop("positions_um"), model, rng=rng, **args)
+
+
+def test_spot_jacobian_matches_central_differences():
+    uu, vv = np.meshgrid(np.linspace(-3.0, 3.5, 14), np.linspace(-2.5, 2.0, 11))
+    xy = (uu.ravel(), vv.ravel())
+    params = (120.0, 0.3, -0.2, 0.95, 1.1, 2.0)
+    analytic = imaging._spot_jacobian(xy, *params)
+    assert analytic.shape == (uu.size, 6)
+    h = 1e-6
+    numeric = np.empty_like(analytic)
+    for j in range(len(params)):
+        up, down = list(params), list(params)
+        up[j] += h
+        down[j] -= h
+        numeric[:, j] = (imaging._spot_model(xy, *up) - imaging._spot_model(xy, *down)) / (2 * h)
+    assert np.all(np.abs(analytic - numeric) <= 1e-6 * np.abs(analytic).max(axis=0))
+
+
+def test_spot_fits_match_finite_differences(family, ca, ca2, linear_chain, model, monkeypatch):
+    # measure-pipeline-like images: 3- and 6-ion chains at about half their
+    # alpha*, spots smeared 0.3 um along the highest mode, Poisson noise.
+    # Centres agree to 1e-6 um (seen: 2.5e-8 um on these and larger chains).
+    chains = ((3, (1,), 0.50), (3, (0,), 0.186), (6, (), 0.058), (6, (2, 4), 0.078))
+    for seed, (n, impurities, alpha) in enumerate(chains):
+        trap = family.trap_at(alpha)
+        config = linear_chain(trap, [ca2 if i in impurities else ca for i in range(n)])
+        modes = ic.normal_modes(trap, config)
+        desc = ic.mode_descriptor(modes, len(modes.frequencies) - 1)
+        dirs = np.array([model.matrix @ row for row in desc.pattern])
+        dirs[np.linalg.norm(dirs, axis=1) == 0.0] = [1.0, 0.0]
+        uv = ic.project(config.positions, model)
+        bright = ic.fluorescing(config)
+        image = ic.render(uv, model, bright=bright, amplitudes_um=0.3 * desc.ion_amplitudes,
+                          directions=dirs, flux=1e4, background=2.0,
+                          rng=np.random.default_rng(seed))
+        sep = int(np.diff(np.sort(uv[bright, 0])).min() / (2.0 * model.um_per_px))
+        analytic, _ = ic.fit_positions(image, int(bright.sum()), min_separation_px=sep)
+        with monkeypatch.context() as m:
+            m.setattr(imaging, "_spot_jacobian", None)
+            numeric, _ = ic.fit_positions(image, int(bright.sum()), min_separation_px=sep)
+        assert np.abs(analytic - numeric).max() < 1e-6
 
 
 def test_noise_is_reproducible(model):

@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ioncrystal as ic
+from ioncrystal import response
 
 KHZ = 2e3 * math.pi
+
+# measure-pipeline-like chains: (N, Ca2+ indices, alpha) at about half alpha*
+PIPELINE_CHAINS = (
+    (3, (), 0.208), (3, (1,), 0.50), (3, (0,), 0.186),
+    (6, (), 0.058), (6, (3,), 0.067), (6, (0,), 0.048), (6, (2, 4), 0.078),
+)
 
 
 def _grid(lo_khz, hi_khz, step_khz):
@@ -165,6 +172,104 @@ def test_drive_validation():
         ic.DriveSpec("x", 1e-7, 1.0 * KHZ, good[::-1])
     with pytest.raises(ValueError):
         ic.DriveSpec("x", 1e-7, 1.0 * KHZ, np.array([]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_drive_rejects_non_finite_values(bad):
+    good = _grid(400, 500, 1.0)
+    with pytest.raises(ValueError, match="frequencies"):
+        ic.DriveSpec("x", 1e-7, 1.0 * KHZ, np.array([400.0, bad, 500.0]) * KHZ)
+    with pytest.raises(ValueError, match="frequencies"):
+        ic.DriveSpec("x", 1e-7, 1.0 * KHZ, np.append(good, bad))
+    with pytest.raises(ValueError, match="field_amplitude"):
+        ic.DriveSpec("x", bad, 1.0 * KHZ, good)
+    with pytest.raises(ValueError, match="damping_rate"):
+        ic.DriveSpec("x", 1e-7, bad, good)
+
+
+def _loop_maxima(s, level):
+    return [
+        k
+        for k in range(1, len(s) - 1)
+        if s[k] > s[k - 1] and s[k] >= s[k + 1] and s[k] > level and s[k] > 0.0
+    ]
+
+
+@pytest.mark.parametrize(
+    "s, level",
+    [
+        ([0.0, 1.0, 3.0, 3.0, 1.0, 0.0], 0.5),  # flat top
+        ([0.0, 2.0, 2.0, 2.0], 0.5),  # flat top running into the edge
+        ([5.0, 1.0, 2.0, 1.0, 5.0], 0.5),  # edge maxima do not count
+        ([0.0, 1.0, 0.5, 4.0, 0.2, 0.3, 0.1], 0.9),  # bumps below the level
+        ([-3.0, -1.0, -2.0], -5.0),  # a maximum at or below zero
+        ([0.0, math.nan, 1.0, 0.0, 2.0, 1.0], 0.5),
+        ([1.0, 2.0], 0.0),
+        ([1.0], 0.0),
+        ([], 0.0),
+    ],
+)
+def test_local_maxima_match_the_loop(s, level):
+    assert response._local_maxima(np.array(s), level) == _loop_maxima(s, level)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.lists(st.integers(-2, 4), max_size=30), st.integers(-1, 3))
+def test_local_maxima_match_the_loop_on_plateaus(values, level):
+    s = np.array(values, dtype=float)
+    assert response._local_maxima(s, float(level)) == _loop_maxima(s, float(level))
+
+
+def _central_difference(f, x, params, h=1e-6):
+    cols = []
+    for j in range(len(params)):
+        up, down = list(params), list(params)
+        up[j] += h
+        down[j] -= h
+        cols.append((f(x, *up) - f(x, *down)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize(
+    "f, jac",
+    [
+        (response._gaussian, response._gaussian_jacobian),
+        (response._lorentzian, response._lorentzian_jacobian),
+    ],
+)
+def test_line_model_jacobians_match_central_differences(f, jac):
+    x = np.linspace(470.0, 490.0, 41)
+    params = (0.09, 480.3, 0.7, 0.02)
+    analytic = jac(x, *params)
+    assert analytic.shape == (len(x), 4)
+    numeric = _central_difference(f, x, params)
+    assert np.all(np.abs(analytic - numeric) <= 1e-6 * np.abs(analytic).max(axis=0))
+
+
+@pytest.mark.parametrize("model", ["gaussian", "lorentzian"])
+def test_analytic_jacobian_fits_match_finite_differences(
+    family, ca, ca2, linear_chain, monkeypatch, model
+):
+    # centres agree to 1e-8 and stderrs to 1e-5, relative: both fits stop
+    # at the fitter's 1.5e-8 relative step tolerance (seen: 1.1e-9 and
+    # 2.1e-6 for the Lorentzian on these sweeps, 10x less for the Gaussian)
+    f = response._MODELS[model][0]
+    for n, impurities, alpha in PIPELINE_CHAINS:
+        trap = family.trap_at(alpha)
+        ions = [ca2 if i in impurities else ca for i in range(n)]
+        modes = ic.normal_modes(trap, linear_chain(trap, ions))
+        band = modes.frequencies[ic.modes_by_axis(modes, "x")] / KHZ
+        lo = math.floor(band.min() - 10.0)
+        hi = lo + 0.2 * math.ceil((band.max() + 10.0 - lo) / 0.2)
+        drive = ic.DriveSpec("x", 1e-3, 1.0 * KHZ, _grid(lo, hi, 0.2))
+        analytic = ic.sweep_and_fit(modes, drive, model=model)
+        with monkeypatch.context() as m:
+            m.setitem(response._MODELS, model, (f, None))
+            numeric = ic.sweep_and_fit(modes, drive, model=model)
+        assert [a.n_points for a in analytic] == [b.n_points for b in numeric]
+        for a, b in zip(analytic, numeric):
+            assert a.center == pytest.approx(b.center, rel=1e-8)
+            assert a.center_stderr == pytest.approx(b.center_stderr, rel=1e-5)
 
 
 @settings(deadline=None, max_examples=50)

@@ -99,6 +99,9 @@ def test_error_messages_carry_field_paths(scenario_file):
         ("damping_khz: 1.0", "damping_khz: .inf", "response.damping_khz"),
         ("rf_mhz: 10.66", "rf_mhz: -.inf", "trap.rf_mhz"),
         ("flux: 10000.0", "flux: 1" + "0" * 400, "render.flux"),
+        # an integer past Python's 4300-digit string limit fails inside the
+        # YAML loader, before any field is read
+        ("seed: 1", "seed: 1" + "0" * 5000, "invalid YAML"),
         ("seed: 1", "seed: 1\nscan: {alpha_min: .nan}", "scan.alpha_min"),
         # a response sweep of at most a million points, refused before any
         # grid exists (7e8 points here)
@@ -317,3 +320,30 @@ def test_reproduce_results_script(tmp_path, monkeypatch, capsys):
     lengths = list(csv.DictReader(open(tmp_path / "lengths.csv")))
     assert float(lengths[1]["ratio_to_pure"]) == pytest.approx((9.0 / 5.0) ** (1.0 / 3.0), rel=1e-3)
     assert json.loads((tmp_path / "outer_noisy.json").read_text())["fit_error_um"] < 1.0
+
+
+def test_golden_compare_reports_column_changes(tmp_path, capsys):
+    path = SCENARIOS.parent / "scripts" / "cli_golden.py"
+    spec = importlib.util.spec_from_file_location("cli_golden", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root, center, label, zero in (
+        (parent, "480.0", "a", "0.0"), (change, "480.0000001", "b", "-0.0")
+    ):
+        (root / "s" / "response-csv").mkdir(parents=True)
+        (root / "s" / "response-csv" / "peaks.csv").write_text(
+            f"center_khz,n_points,label,zero\n{center},36,{label},{zero}\n1.0,5,c,0.0\n"
+        )
+        (root / "runs.txt").write_text("s response csv: exit 0\n")
+    assert script.main_cli(["--compare", str(parent), str(parent)]) == 0
+    capsys.readouterr()
+    assert script.main_cli(["--compare", str(parent), str(change)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "runs.txt: identical" in lines
+    assert "s/response-csv/peaks.csv: differs" in lines
+    assert "  center_khz: 1 values, largest relative change 2.1e-10, absolute 1e-07" in lines
+    assert "  label: 1 text values differ" in lines
+    # 0.0 against -0.0 is listed as a changed value with no numeric change
+    assert "  zero: 1 values, largest relative change 0, absolute 0" in lines
+    assert not any(line.lstrip().startswith("n_points") for line in lines)
