@@ -6,23 +6,34 @@
 
 Each run writes into DIR/<scenario>/<command>-<format>/. Its exit code
 and its stdout and stderr, with the output directory replaced by
-"<out>", go to DIR/runs.txt, one block per run. A change that does not
-touch the numerics must leave every file of two such trees
-byte-identical. --compare reports, for every CSV that differs, the
-largest relative and absolute change of each numeric column, and for
-every other file whether its bytes match. It exits 0 when the two trees
-are byte-identical and 1 otherwise.
+"<out>", go to DIR/runs.txt, one block per run. DIR/minima.csv
+fingerprints the minimum selection, which no scenario reaches with
+restarts or the mirror branch: every case of tests/data/minima_grid.json
+solved at seed 0 with restarts=1 (primary and mirror) and restarts=3,
+one row each with its energy, classify kind (or the error's name) and
+the SHA-1 of the position bytes. A change that does not touch the
+numerics must leave every file of two such trees byte-identical.
+--compare reports, for every CSV that differs, the largest relative and
+absolute change of each numeric column, and for every other file
+whether its bytes match. It exits 0 when the two trees are
+byte-identical and 1 otherwise.
 """
 
 import argparse
 import contextlib
 import csv
+import hashlib
 import io
+import json
 import math
 from pathlib import Path
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+GRID = ROOT / "tests" / "data" / "minima_grid.json"
 FORMATS = ("csv", "record")
+MINIMA_COLUMNS = ("charges", "alpha", "restarts", "branch", "energy_j", "kind",
+                  "positions_sha1")
 
 
 def run_all(out: Path) -> list[str]:
@@ -41,6 +52,43 @@ def run_all(out: Path) -> list[str]:
                 text = (stdout.getvalue() + stderr.getvalue()).replace(str(target), "<out>")
                 log.append(f"{scenario.stem} {command} {fmt}: exit {code}\n{text}")
     return log
+
+
+def minima_rows() -> list[tuple]:
+    """One minima.csv row per grid case and selection path (see the module doc)."""
+    import ioncrystal as ic
+
+    ca = ic.IonSpecies(1, 40.0)
+    family = ic.AnisotropyFamily.from_calibration(
+        ca, ic.SpeciesFrequencies.from_khz(480.0, 630.0, 119.0), 2.0 * math.pi * 10.66e6
+    )
+    species = {1: ca, 2: ic.IonSpecies(2, 40.0)}
+    rows = []
+    for case in json.loads(GRID.read_text())["cases"]:
+        trap = family.trap_at(case["alpha"])
+        ions = [species[q] for q in case["charges"]]
+        for restarts, options in ((1, {"both_branches": True}), (3, {"restarts": 3})):
+            key = (" ".join(map(str, case["charges"])), repr(case["alpha"]), restarts)
+            try:
+                found = ic.find_equilibrium(trap, ions, seed=0, **options)
+            except ic.IonCrystalError as exc:
+                rows.append(key + ("", "", type(exc).__name__, ""))
+                continue
+            configs = found if isinstance(found, tuple) else (found,)
+            for branch, config in zip(("primary", "mirror"), configs):
+                rows.append(key + (
+                    branch, repr(ic.potential_energy(trap, config)),
+                    ic.classify(config).kind,
+                    hashlib.sha1(config.positions.tobytes()).hexdigest(),
+                ))
+    return rows
+
+
+def write_minima(path: Path) -> None:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(MINIMA_COLUMNS)
+        writer.writerows(minima_rows())
 
 
 def _float(text: str) -> float | None:
@@ -116,6 +164,7 @@ def main_cli(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     log = run_all(args.out)
     (args.out / "runs.txt").write_text("".join(log))
+    write_minima(args.out / "minima.csv")
     print(f"{len(log)} runs -> {args.out}")
     return 0
 

@@ -19,11 +19,12 @@ step is accepted only if it lowers the energy. The loop stops at a
 stationary point (`is_stationary`) with no unstable direction.
 
 `find_equilibrium` runs the loop on all three axes, from the linear
-chain with small transverse offsets or from given positions. For crystals of
-up to _BRANCH_MAX_IONS ions, the first push off an unstable point
-follows each of the lowest _BRANCHES unstable modes in turn, and the
-lowest minimum wins (minimum selection: deep in the buckled phase
-several minima compete).
+chain with small transverse offsets or from given positions. Deep in the
+buckled phase several minima compete, so it selects among candidates:
+the descent from each start and, for crystals of up to _BRANCH_MAX_IONS
+ions, the descents from the same start whose first push follows the
+next of the lowest _BRANCHES unstable modes. The lowest minimum wins,
+the earliest candidate on a tie.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ MIN_SEPARATION = 1e-12       # m, below this two ions count as coincident
 # scale. Solves of 12-96 ions end at 3e-16 to 2e-15 of it.
 STATIONARY_REL = 2e-14
 _SOFT_EIG_REL = 1e-9         # relative eigenvalue floor separating soft from unstable
+_PERTURBATION = 1e-8         # m, transverse offsets of a cold start
+_MAX_ESCAPES = 8             # stationary saddle points a descent may push off
 
 # The descent loop; lengths are in units of the smallest ion spacing.
 _MAX_STEPS = 500
@@ -64,13 +67,14 @@ _PUSH = 0.1                  # smallest per-ion step along an unstable lowest mo
 _FIRST_PUSH = 0.5            # the same for the first push, which picks the branch
 _ARMIJO = 1e-4               # sufficient-decrease constant
 _ROUNDOFF = 1e-14            # relative energy change that counts as round-off
-# Minimum selection: a solve of at most _BRANCH_MAX_IONS ions descends from
-# its first unstable point along each of the _BRANCHES lowest unstable
-# modes and keeps the lowest minimum. Larger crystals follow the lowest mode
-# alone: each branch costs a full descent, and branching at every size
-# made the benchmark's chain-solve median 0.51 s against 0.32 s for the
-# previous BFGS solver (BENCH_7.json), while the lowest-mode minima of 48-
-# and 72-ion buckled crystals are, on average, no higher than that solver's.
+# Minimum selection: a solve of at most _BRANCH_MAX_IONS ions also descends
+# from each start with its first push along each of the next lowest
+# unstable modes, _BRANCHES in all, and keeps the lowest minimum. Larger
+# crystals follow the lowest mode alone: each branch costs a full descent,
+# and branching at every size made the benchmark's chain-solve median
+# 0.51 s against 0.32 s for the previous BFGS solver (BENCH_7.json), while
+# the lowest-mode minima of 48- and 72-ion buckled crystals are, on
+# average, no higher than that solver's.
 _BRANCHES = 4
 _BRANCH_MAX_IONS = 24
 
@@ -216,9 +220,14 @@ def _mass_weighted_eigh(
     return np.linalg.eigh(D)
 
 
+def _soft_floor(evals: np.ndarray) -> float:
+    """Eigenvalues (ascending) within plus or minus this count as soft."""
+    return _SOFT_EIG_REL * max(float(evals[-1]), 0.0)
+
+
 def _unstable_count(evals: np.ndarray) -> int:
     """Eigenvalues below minus the soft floor: the unstable directions."""
-    return int((evals < -_SOFT_EIG_REL * max(float(evals[-1]), 0.0)).sum())
+    return int((evals < -_soft_floor(evals)).sum())
 
 
 def potential_energy(trap: TrapModel, config: CrystalConfiguration) -> float:
@@ -244,12 +253,6 @@ def hessian(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
     return _hessian(config.positions, config.masses, config.charges, w2)
 
 
-def _force_scale(trap: TrapModel, config: CrystalConfiguration) -> float:
-    """Largest per-ion sum of trap and Coulomb force magnitudes, newtons."""
-    w2 = _squared_frequencies(trap, config.ions)
-    return _energy_gradient(config.positions, config.masses, config.charges, w2)[2]
-
-
 def is_stationary(trap: TrapModel, config: CrystalConfiguration) -> bool:
     """Whether the configuration is an equilibrium to within round-off.
 
@@ -273,10 +276,8 @@ def _relax(
     w2: np.ndarray,
     scale: float,
     *,
-    branch: bool = False,
     first_mode: int = 0,
-    max_escapes: int = 8,
-) -> np.ndarray:
+) -> tuple[np.ndarray, float, int]:
     """Energy-descent Newton from u (shape (N, 3), in units of scale) to a minimum.
 
     Each step solves H p = -g. Where the Hessian is not positive definite,
@@ -294,16 +295,16 @@ def _relax(
     with no unstable mode. The ordered linear chain needs none of this
     machinery: axial_equilibrium solves it by a damped Newton on z.
 
-    Minimum selection: the first push moves _FIRST_PUSH spacings along
-    unstable mode first_mode (0 the lowest, 1 the next, ...). With branch,
-    that first push, if more than one mode is unstable, also starts a
-    descent along each of the next ones, up to _BRANCHES modes in all, and
-    the lowest of their minima is returned (the earliest on a tie within
-    1e-12). A branch that fails is dropped.
+    The first push moves _FIRST_PUSH spacings along unstable mode
+    first_mode (0 the lowest, 1 the next, ...; the highest unstable one if
+    fewer are unstable). Returns the minimum, its energy in units of
+    K q_0^2 / scale, and the number of unstable modes at the first push
+    (0 without a push): the branches a caller may follow by descending
+    again with another first_mode.
 
-    Raises SaddlePointError after more than max_escapes stationary saddle
-    points, or when the descent stalls on one, and ConvergenceError when
-    it stalls or runs out of steps elsewhere.
+    Raises SaddlePointError after more than _MAX_ESCAPES stationary
+    saddle points, or when the descent stalls on one, and ConvergenceError
+    when it stalls or runs out of steps elsewhere.
     """
     e0 = K_COULOMB * charges[0] ** 2 / scale
     inv_sqrt_m = 1.0 / np.sqrt(np.repeat(masses, u.shape[1]))
@@ -319,8 +320,7 @@ def _relax(
     e, g, stationary = evaluate(u)
     radius = _MAX_RADIUS
     escapes = 0
-    pushed = False
-    alternatives: list[np.ndarray] = []
+    forks = 0
     for _ in range(_MAX_STEPS):
         H = _hessian(u * scale, masses, charges, w2) * (scale**2 / e0)
         try:
@@ -334,7 +334,7 @@ def _relax(
             if unstable == 0:
                 break
             escapes += 1
-            if escapes > max_escapes:
+            if escapes > _MAX_ESCAPES:
                 raise SaddlePointError(
                     "could not escape a saddle point", negative_count=unstable
                 )
@@ -364,17 +364,9 @@ def _relax(
                 p = shifted(hi)
         if unstable:
             k, push = 0, _PUSH
-            if not pushed:
-                pushed = True
+            if not forks:
+                forks = unstable
                 k, push = min(first_mode, unstable - 1), _FIRST_PUSH
-                for other in range(1, min(unstable, _BRANCHES) if branch else 1):
-                    try:
-                        alternatives.append(_relax(
-                            u, masses, charges, w2, scale, first_mode=other,
-                            max_escapes=max_escapes - escapes,
-                        ))
-                    except SolverError:
-                        pass
             mode = inv_sqrt_m * vecs[:, k]
             reach = size(mode)
             along = float(vecs[:, k] @ (p / inv_sqrt_m))
@@ -408,11 +400,7 @@ def _relax(
         radius = min(2.0 * radius, _MAX_RADIUS) if t == 1.0 else t * length / spacing
     else:
         raise ConvergenceError(f"equilibrium solve did not converge in {_MAX_STEPS} steps")
-    for alt in alternatives:
-        e_alt = evaluate(alt)[0]
-        if e_alt < e - 1e-12 * abs(e):
-            u, e = alt, e_alt
-    return u
+    return u, e, forks
 
 
 def _arrays(trap: TrapModel, ions: Sequence[IonSpecies]):
@@ -476,13 +464,13 @@ def axial_equilibrium(
     raise ConvergenceError(f"axial equilibrium did not converge in {max_iter} steps")
 
 
-def _cold_start(trap, ions, z, rng, perturbation=1e-8) -> np.ndarray:
+def _cold_start(trap, ions, z, rng) -> np.ndarray:
     """Start of a cold solve, metres: the linear chain z with transverse
-    offsets of size perturbation, drawn from rng in the solve's length unit."""
+    offsets of size _PERTURBATION, drawn from rng in the solve's length unit."""
     scale = _arrays(trap, ions)[3]
     start = np.zeros((len(z), 3))
     start[:, 2] = z
-    start[:, :2] = rng.standard_normal((len(z), 2)) * (perturbation / scale) * scale
+    start[:, :2] = rng.standard_normal((len(z), 2)) * (_PERTURBATION / scale) * scale
     return start
 
 
@@ -493,18 +481,20 @@ def find_equilibrium(
     seed: int = 0,
     restarts: int = 1,
     both_branches: bool = False,
-    perturbation: float = 1e-8,
-    max_escapes: int = 8,
     initial: np.ndarray | None = None,
 ):
     """Relax the ions to a stable minimum of the potential.
 
-    The seed configuration is the linear chain of axial_equilibrium
-    with deterministic pseudo-random transverse offsets of size
-    `perturbation` (metres) drawn from `seed`; the descent loop runs
-    from it (see the module docstring). With restarts > 1 the solve is
-    repeated with fresh offsets and the lowest-energy stable minimum
-    wins (ties broken by lexicographically smaller positions).
+    The start is the linear chain of axial_equilibrium with
+    deterministic pseudo-random transverse offsets of size _PERTURBATION
+    (metres) drawn from `seed`; restarts > 1 adds further starts with
+    fresh offsets. The descent loop (see the module docstring) runs from
+    every start and, for at most _BRANCH_MAX_IONS ions, again from the
+    same start along each of the next unstable modes at its first push,
+    up to _BRANCHES in all; a branch that fails is dropped. Of this one
+    candidate list the lowest-energy minimum wins, and on a tie within
+    1e-12 (relative) the earliest: so more restarts change the result
+    only when they reach a strictly lower minimum.
 
     With both_branches=True, returns a (primary, mirror) pair where the
     mirror is solved from the x-reflected seed; for a zigzag crystal the
@@ -514,19 +504,17 @@ def find_equilibrium(
     initial, positions in metres of shape (N, 3), replaces the seed
     chain: the same loop starts from it. This is the warm start of a
     continuation, e.g. the minimum at a neighbouring trap setting; seed
-    and perturbation are then unused. It selects a single start, so it
-    cannot be combined with restarts > 1 or both_branches=True
-    (ValueError). It is checked like the positions of a
-    CrystalConfiguration (ValueError, CoincidentIonsError).
-
-    max_escapes bounds how often the loop may land on a stationary
-    saddle point (an exactly linear chain past its transition, say) and
-    push off it along the most unstable mode.
+    is then unused, and the mode branches are followed from it as from a
+    cold start. It selects a single start, so it cannot be combined with
+    restarts > 1 or both_branches=True (ValueError). It is checked like
+    the positions of a CrystalConfiguration (ValueError,
+    CoincidentIonsError).
 
     Raises TrapInstabilityError for an unconfined species,
-    SaddlePointError when the loop cannot leave a saddle point, and
-    ConvergenceError when it stalls or runs out of steps before
-    is_stationary's test holds.
+    SaddlePointError when the loop cannot leave a saddle point (it lands
+    on a stationary one, an exactly linear chain past its transition,
+    say, more than _MAX_ESCAPES times), and ConvergenceError when it
+    stalls or runs out of steps before is_stationary's test holds.
     """
     ions = tuple(ions)
     n = len(ions)
@@ -547,38 +535,37 @@ def find_equilibrium(
         return (origin, origin) if both_branches else origin
     masses, charges, w2, scale = _arrays(trap, ions)
 
-    def solve_from(start: np.ndarray) -> CrystalConfiguration:
-        u = _relax(
-            start / scale, masses, charges, w2, scale,
-            branch=n <= _BRANCH_MAX_IONS, max_escapes=max_escapes,
-        )
-        return CrystalConfiguration(ions, u * scale)
+    def candidates(starts: Sequence[np.ndarray]):
+        """(u, energy) of the minima from each start, then from its mode
+        branches, in order."""
+        for start in starts:
+            u, e, forks = _relax(start / scale, masses, charges, w2, scale)
+            yield u, e
+            for k in range(1, min(forks, _BRANCHES) if n <= _BRANCH_MAX_IONS else 1):
+                try:
+                    yield _relax(start / scale, masses, charges, w2, scale, first_mode=k)[:2]
+                except SolverError:
+                    pass
+
+    def solve_from(*starts: np.ndarray) -> CrystalConfiguration:
+        """The lowest candidate minimum; the earliest within 1e-12 relative."""
+        best = None
+        for u, e in candidates(starts):
+            if best is None or e < best[1] - 1e-12 * abs(best[1]):
+                best = (u, e)
+        return CrystalConfiguration(ions, best[0] * scale)
 
     if initial is not None:
         return solve_from(initial)
 
     z = axial_equilibrium(trap, ions)
     rng = np.random.default_rng(seed)
-    starts = [_cold_start(trap, ions, z, rng, perturbation) for _ in range(restarts)]
-    best: tuple[float, CrystalConfiguration] | None = None
-    for start in starts:
-        config = solve_from(start)
-        e = _energy_gradient(config.positions, masses, charges, w2)[0]
-        if (
-            best is None
-            or e < best[0] - 1e-12 * abs(best[0])
-            or (
-                abs(e - best[0]) <= 1e-12 * abs(best[0])
-                and tuple(config.positions.ravel()) < tuple(best[1].positions.ravel())
-            )
-        ):
-            best = (e, config)
-
-    assert best is not None
+    starts = [_cold_start(trap, ions, z, rng) for _ in range(restarts)]
+    best = solve_from(*starts)
     if not both_branches:
-        return best[1]
+        return best
     starts[0][:, 0] *= -1.0
-    return best[1], solve_from(starts[0])
+    return best, solve_from(starts[0])
 
 
 def classify(

@@ -142,9 +142,14 @@ def render(
     for bit, as summing every spot over the whole grid.
 
     Raises ValueError, naming the argument, for non-finite positions,
-    amplitudes or directions, a zero-length direction, or a bright,
-    amplitudes_um or directions of the wrong length.
+    amplitudes or directions, a zero-length direction, a bright,
+    amplitudes_um or directions of the wrong length, or a flux,
+    background or pad_um (if given) that is not a finite number >= 0.
     """
+    for name, value in (("flux", flux), ("background", background),
+                        ("pad_um", 0.0 if pad_um is None else pad_um)):
+        if _checked(name, value, ()) < 0.0:
+            raise ValueError(f"{name} must be >= 0")
     pos = np.atleast_2d(np.asarray(positions_um, dtype=float))
     n = len(pos)
     pos = _checked("positions_um", pos, (n, 2))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import _SOFT_EIG_REL, CrystalConfiguration, _mass_weighted_eigh, hessian
+from .crystal import CrystalConfiguration, _mass_weighted_eigh, _soft_floor, hessian
 from .errors import BoundaryError, UnstableConfigurationError
 from .trap import TrapModel
 
@@ -71,7 +71,7 @@ def normal_modes(trap: TrapModel, config: CrystalConfiguration) -> NormalModeSet
     """
     H = hessian(trap, config)
     evals, evecs = _mass_weighted_eigh(H, config.masses)
-    floor = _SOFT_EIG_REL * max(float(evals[-1]), 0.0)
+    floor = _soft_floor(evals)
     negative = evals < -floor
     if negative.any():
         raise UnstableConfigurationError(

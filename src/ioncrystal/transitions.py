@@ -38,13 +38,13 @@ from .crystal import (
     CrystalConfiguration,
     StructureClass,
     _cold_start,
-    _force_scale,
+    _energy_gradient,
     _mass_weighted_eigh,
+    _squared_frequencies,
     _unstable_count,
     axial_equilibrium,
     classify,
     find_equilibrium,
-    gradient,
     hessian,
 )
 from .errors import (
@@ -403,10 +403,11 @@ def configuration_stability(
     bound in newtons, to check a configuration relaxed less tightly
     elsewhere.
     """
-    g = gradient(trap, config)
+    w2 = _squared_frequencies(trap, config.ions)
+    _, g, force_scale = _energy_gradient(config.positions, config.masses, config.charges, w2)
     gmax = float(np.abs(g).max())
     if force_tol is None:
-        force_tol = STATIONARY_REL * _force_scale(trap, config)
+        force_tol = STATIONARY_REL * force_scale
     if gmax > force_tol:
         raise NonStationaryError(
             f"largest force component {gmax:.3e} N exceeds {force_tol:.3e} N"

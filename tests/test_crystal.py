@@ -184,6 +184,9 @@ def test_restarts_keep_the_lowest_energy(family, ca):
     e_single = ic.potential_energy(trap, single)
     e_multi = ic.potential_energy(trap, multi)
     assert e_multi <= e_single * (1.0 + 1e-12)
+    # one tie rule: on a tie the earliest candidate, the first start's, wins
+    if abs(e_multi - e_single) <= 1e-12 * abs(e_single):
+        assert np.array_equal(multi.positions, single.positions)
 
 
 def test_classify_planes_and_threshold(ca):
@@ -257,3 +260,8 @@ def test_initial_is_validated(family, ca):
         ic.find_equilibrium(trap, [ca, ca, ca], initial=good, restarts=2)
     with pytest.raises(ValueError):
         ic.find_equilibrium(trap, [ca, ca, ca], initial=good, both_branches=True)
+    # the cold-start offset and the escape bound are constants, not options
+    with pytest.raises(TypeError):
+        ic.find_equilibrium(trap, [ca, ca, ca], perturbation=1e-8)
+    with pytest.raises(TypeError):
+        ic.find_equilibrium(trap, [ca, ca, ca], max_escapes=8)

@@ -187,6 +187,12 @@ def test_windowed_render_matches_the_full_grid(model, pad_um, smear_um, seed, ba
         ({"bright": [True]}, "bright"),
         ({"positions_um": [[0.0, 0.0], [np.nan, 1.0]]}, "positions_um"),
         ({"positions_um": [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0]]}, "positions_um"),
+        ({"flux": np.nan}, "flux"),
+        ({"flux": -1.0}, "flux"),
+        ({"background": -0.5}, "background"),
+        ({"background": np.inf}, "background"),
+        ({"pad_um": -30.0}, "pad_um"),
+        ({"pad_um": np.nan}, "pad_um"),
     ],
 )
 @pytest.mark.parametrize("noisy", [False, True])
