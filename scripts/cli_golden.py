@@ -9,10 +9,11 @@ and its stdout and stderr, with the output directory replaced by
 "<out>", go to DIR/runs.txt, one block per run. DIR/minima.csv
 fingerprints the minimum selection, which no scenario reaches with
 restarts or the mirror branch: every case of tests/data/minima_grid.json
-solved at seed 0 with restarts=1 (primary and mirror) and restarts=3,
-one row each with its energy, classify kind (or the error's name) and
-the SHA-1 of the position bytes. A change that does not touch the
-numerics must leave every file of two such trees byte-identical.
+solved at seed 0 with restarts=1 (the primary and its mirror, the x
+reflection the equilibrium command writes) and restarts=3, one row each
+with its energy, classify kind (or the error's name) and the SHA-1 of
+the position bytes. A change that does not touch the numerics must
+leave every file of two such trees byte-identical.
 --compare reports, for every CSV that differs, the largest relative and
 absolute change of each numeric column, and for every other file
 whether its bytes match. It exits 0 when the two trees are
@@ -57,6 +58,7 @@ def run_all(out: Path) -> list[str]:
 def minima_rows() -> list[tuple]:
     """One minima.csv row per grid case and selection path (see the module doc)."""
     import ioncrystal as ic
+    from ioncrystal.cli import _mirror
 
     ca = ic.IonSpecies(1, 40.0)
     family = ic.AnisotropyFamily.from_calibration(
@@ -67,14 +69,14 @@ def minima_rows() -> list[tuple]:
     for case in json.loads(GRID.read_text())["cases"]:
         trap = family.trap_at(case["alpha"])
         ions = [species[q] for q in case["charges"]]
-        for restarts, options in ((1, {"both_branches": True}), (3, {"restarts": 3})):
+        for restarts in (1, 3):
             key = (" ".join(map(str, case["charges"])), repr(case["alpha"]), restarts)
             try:
-                found = ic.find_equilibrium(trap, ions, seed=0, **options)
+                found = ic.find_equilibrium(trap, ions, seed=0, restarts=restarts)
             except ic.IonCrystalError as exc:
                 rows.append(key + ("", "", type(exc).__name__, ""))
                 continue
-            configs = found if isinstance(found, tuple) else (found,)
+            configs = (found, _mirror(found)) if restarts == 1 else (found,)
             for branch, config in zip(("primary", "mirror"), configs):
                 rows.append(key + (
                     branch, repr(ic.potential_energy(trap, config)),

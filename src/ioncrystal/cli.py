@@ -89,12 +89,20 @@ def _length_scale(sc: Scenario) -> float:
     return characteristic_length(cal.reference, cal.frequencies.omega_z)
 
 
-def _solve(sc: Scenario, both_branches: bool = False):
+def _solve(sc: Scenario):
     trap = sc.calibration.trap()
     return trap, find_equilibrium(
-        trap, sc.ions, seed=sc.seed, restarts=sc.equilibrium.restarts,
-        both_branches=both_branches,
+        trap, sc.ions, seed=sc.seed, restarts=sc.equilibrium.restarts
     )
+
+
+def _mirror(config):
+    """The x reflection of a configuration: the potential is even in x, so
+    this is the degenerate mirror of a minimum. Written 0.0 - x so that an
+    ion at x = 0.0 stays at +0.0."""
+    pos = config.positions.copy()
+    pos[:, 0] = 0.0 - pos[:, 0]
+    return config.with_positions(pos)
 
 
 _POSITION_HEADER = ("ion", "label", "charge", "mass_amu", "x_um", "y_um", "z_um")
@@ -145,10 +153,7 @@ def _cmd_calibrate(sc: Scenario, out: Path):
 
 
 def _cmd_equilibrium(sc: Scenario, out: Path):
-    both = sc.equilibrium.both_branches
-    trap, result = _solve(sc, both_branches=both)
-    branches = result if both else (result,)
-    primary = branches[0]
+    trap, primary = _solve(sc)
     sclass = classify(primary, length_scale=_length_scale(sc))
     summary = [
         ("energy_j", potential_energy(trap, primary)),
@@ -164,8 +169,8 @@ def _cmd_equilibrium(sc: Scenario, out: Path):
         "equilibrium_summary": (("key", "value"), summary),
     }
     record = {"ions": _rows(_POSITION_HEADER, positions), "summary": dict(summary)}
-    if both:
-        mirror = _positions_rows(sc, branches[1])
+    if sc.equilibrium.both_branches:
+        mirror = _positions_rows(sc, _mirror(primary))
         tables["positions_mirror"] = (_POSITION_HEADER, mirror)
         record["mirror_ions"] = _rows(_POSITION_HEADER, mirror)
     message = (
@@ -343,7 +348,6 @@ def _cmd_render(sc: Scenario, out: Path):
         flux=sc.render.flux,
         background=sc.render.background,
         rng=rng,
-        tag=sc.name,
     )
     header = ("ion", "label", "bright", "u_um", "v_um")
     projection = [

@@ -24,7 +24,9 @@ buckled phase several minima compete, so it selects among candidates:
 the descent from each start and, for crystals of up to _BRANCH_MAX_IONS
 ions, the descents from the same start whose first push follows the
 next of the lowest _BRANCHES unstable modes. The lowest minimum wins,
-the earliest candidate on a tie.
+the earliest candidate on a tie. The potential is even in x, so the
+x reflection of a minimum is a minimum of the same energy: a zigzag's
+degenerate mirror is its reflection and takes no second solve.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ from .errors import (
 from .trap import (
     IonSpecies,
     TrapModel,
+    _squared_secular,
     characteristic_length,
     frequencies_for_species,
-    pseudopotential_terms,
 )
 
 MIN_SEPARATION = 1e-12       # m, below this two ions count as coincident
@@ -59,6 +61,8 @@ STATIONARY_REL = 2e-14
 _SOFT_EIG_REL = 1e-9         # relative eigenvalue floor separating soft from unstable
 _PERTURBATION = 1e-8         # m, transverse offsets of a cold start
 _MAX_ESCAPES = 8             # stationary saddle points a descent may push off
+_AXIAL_MAX_STEPS = 100       # Newton steps of axial_equilibrium
+_LINEAR_THRESHOLD = 1e-4     # classify: transverse offsets below this times the scale are zero
 
 # The descent loop; lengths are in units of the smallest ion spacing.
 _MAX_STEPS = 500
@@ -158,8 +162,7 @@ def _squared_frequencies(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndar
     out = np.empty((len(ions), 3))
     for i, s in enumerate(ions):
         if s not in cache:
-            a, b, c = pseudopotential_terms(trap, s)
-            cache[s] = (2.0 * (c - a - b), 2.0 * (c - a + b), 4.0 * a)
+            cache[s] = _squared_secular(trap, s)
         out[i] = cache[s]
     return out
 
@@ -413,11 +416,7 @@ def _arrays(trap: TrapModel, ions: Sequence[IonSpecies]):
     return masses, charges, w2, characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
 
 
-def axial_equilibrium(
-    trap: TrapModel,
-    ions: Sequence[IonSpecies],
-    max_iter: int = 100,
-) -> np.ndarray:
+def axial_equilibrium(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray:
     """Equilibrium z positions (metres) of the linear chain, ions kept in order.
 
     A damped Newton on z alone (James, Appl. Phys. B 66, 181, 1998), in
@@ -427,8 +426,7 @@ def axial_equilibrium(
     energy falls or, once energy changes are round-off, the largest force
     falls. It stops on is_stationary's test. The result depends on the
     static axial curvature alone, so it is the same array at every
-    transverse confinement. max_iter bounds the steps (ConvergenceError
-    beyond it).
+    transverse confinement. ConvergenceError after _AXIAL_MAX_STEPS steps.
     """
     ions = tuple(ions)
     n = len(ions)
@@ -442,7 +440,7 @@ def axial_equilibrium(
 
     u = (np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559
     e, g, stationary = evaluate(u)
-    for _ in range(max_iter):
+    for _ in range(_AXIAL_MAX_STEPS):
         if stationary:
             return u * scale
         H = _hessian(u[:, None] * scale, masses, charges, w2) * (scale**2 / e0)
@@ -461,7 +459,9 @@ def axial_equilibrium(
             if t < 1e-10:
                 raise ConvergenceError("axial equilibrium stalled above the force tolerance")
         u, e, g, stationary = trial, e_t, g_t, stationary_t
-    raise ConvergenceError(f"axial equilibrium did not converge in {max_iter} steps")
+    raise ConvergenceError(
+        f"axial equilibrium did not converge in {_AXIAL_MAX_STEPS} steps"
+    )
 
 
 def _cold_start(trap, ions, z, rng) -> np.ndarray:
@@ -480,9 +480,8 @@ def find_equilibrium(
     *,
     seed: int = 0,
     restarts: int = 1,
-    both_branches: bool = False,
     initial: np.ndarray | None = None,
-):
+) -> CrystalConfiguration:
     """Relax the ions to a stable minimum of the potential.
 
     The start is the linear chain of axial_equilibrium with
@@ -496,19 +495,13 @@ def find_equilibrium(
     1e-12 (relative) the earliest: so more restarts change the result
     only when they reach a strictly lower minimum.
 
-    With both_branches=True, returns a (primary, mirror) pair where the
-    mirror is solved from the x-reflected seed; for a zigzag crystal the
-    two are the degenerate mirror pair, for a linear crystal they
-    coincide.
-
     initial, positions in metres of shape (N, 3), replaces the seed
     chain: the same loop starts from it. This is the warm start of a
     continuation, e.g. the minimum at a neighbouring trap setting; seed
     is then unused, and the mode branches are followed from it as from a
     cold start. It selects a single start, so it cannot be combined with
-    restarts > 1 or both_branches=True (ValueError). It is checked like
-    the positions of a CrystalConfiguration (ValueError,
-    CoincidentIonsError).
+    restarts > 1 (ValueError). It is checked like the positions of a
+    CrystalConfiguration (ValueError, CoincidentIonsError).
 
     Raises TrapInstabilityError for an unconfined species,
     SaddlePointError when the loop cannot leave a saddle point (it lands
@@ -522,20 +515,22 @@ def find_equilibrium(
         raise ValueError("restarts must be >= 1")
     if initial is not None:
         initial = CrystalConfiguration(ions, initial).positions
-        if restarts > 1 or both_branches:
-            raise ValueError(
-                "initial selects a single start; it excludes restarts > 1 "
-                "and both_branches"
-            )
+        if restarts > 1:
+            raise ValueError("initial selects a single start; it excludes restarts > 1")
     for s in set(ions):
         frequencies_for_species(trap, s)
 
     if n == 1:  # a lone ion sits at the trap centre
-        origin = CrystalConfiguration(ions, np.zeros((1, 3)))
-        return (origin, origin) if both_branches else origin
+        return CrystalConfiguration(ions, np.zeros((1, 3)))
     masses, charges, w2, scale = _arrays(trap, ions)
+    if initial is None:
+        z = axial_equilibrium(trap, ions)
+        rng = np.random.default_rng(seed)
+        starts = [_cold_start(trap, ions, z, rng) for _ in range(restarts)]
+    else:
+        starts = [initial]
 
-    def candidates(starts: Sequence[np.ndarray]):
+    def candidates():
         """(u, energy) of the minima from each start, then from its mode
         branches, in order."""
         for start in starts:
@@ -547,35 +542,20 @@ def find_equilibrium(
                 except SolverError:
                     pass
 
-    def solve_from(*starts: np.ndarray) -> CrystalConfiguration:
-        """The lowest candidate minimum; the earliest within 1e-12 relative."""
-        best = None
-        for u, e in candidates(starts):
-            if best is None or e < best[1] - 1e-12 * abs(best[1]):
-                best = (u, e)
-        return CrystalConfiguration(ions, best[0] * scale)
-
-    if initial is not None:
-        return solve_from(initial)
-
-    z = axial_equilibrium(trap, ions)
-    rng = np.random.default_rng(seed)
-    starts = [_cold_start(trap, ions, z, rng) for _ in range(restarts)]
-    best = solve_from(*starts)
-    if not both_branches:
-        return best
-    starts[0][:, 0] *= -1.0
-    return best, solve_from(starts[0])
+    # the lowest candidate minimum; the earliest within 1e-12 relative
+    best = None
+    for u, e in candidates():
+        if best is None or e < best[1] - 1e-12 * abs(best[1]):
+            best = (u, e)
+    return CrystalConfiguration(ions, best[0] * scale)
 
 
 def classify(
-    config: CrystalConfiguration,
-    length_scale: float | None = None,
-    threshold_factor: float = 1e-4,
+    config: CrystalConfiguration, length_scale: float | None = None
 ) -> StructureClass:
     """Label a configuration as linear, zigzag, or other.
 
-    Transverse displacements below threshold_factor times the reference
+    Transverse displacements below _LINEAR_THRESHOLD times the reference
     scale (the minimum ion separation unless length_scale is given)
     count as zero. A zigzag is confined to one transverse plane with
     alternating signs along the chain.
@@ -588,7 +568,7 @@ def classify(
     if config.n == 1:
         return StructureClass("linear", None, op)
     scale = length_scale if length_scale is not None else _min_separation(pos)
-    thr = threshold_factor * scale
+    thr = _LINEAR_THRESHOLD * scale
     if op < thr:
         return StructureClass("linear", None, op)
     in_x = np.abs(x).max() >= thr

@@ -14,11 +14,14 @@ the oscillation amplitude in quadrature to the point-spread width.
 Doubly charged ions do not fluoresce and leave a gap. Each spot is
 evaluated only within 38.7 smeared widths of its centre, where its
 Gaussian is still above double-precision underflow; beyond that it
-would add exactly 0.0, so the image is unchanged bit for bit.
+would add exactly 0.0, so the image is unchanged bit for bit. The image
+spans the spots plus a fixed margin; with an rng its pixels are Poisson
+draws, refused (ValueError) where a mean is beyond numpy's limit.
 
 fit_positions fits each spot with an elliptical Gaussian and its
 analytic Jacobian in (height, centre u, centre v, width u, width v,
-offset).
+offset). write_pgm writes 16-bit graymaps; read_pgm reads 8- and 16-bit
+ones.
 """
 
 from __future__ import annotations
@@ -82,7 +85,6 @@ class CameraImage:
     intensity: np.ndarray
     um_per_px: float
     origin_um: tuple[float, float]
-    tag: str = ""
 
     def coords(self) -> tuple[np.ndarray, np.ndarray]:
         """Pixel center coordinates (u along columns, v along rows), um."""
@@ -125,8 +127,6 @@ def render(
     flux: float = 1e4,
     background: float = 0.0,
     rng: np.random.Generator | None = None,
-    pad_um: float | None = None,
-    tag: str = "",
 ) -> CameraImage:
     """Render spots at image coordinates (N, 2) into a pixel grid.
 
@@ -135,7 +135,8 @@ def render(
     in quadrature to the point-spread width. flux is the expected photon
     count per bright ion. With an rng, pixel values are Poisson draws
     over signal plus background; otherwise the noiseless expectation
-    (plus background) is returned.
+    (plus background) is returned. The image extends _PAD_SIGMAS largest
+    smeared widths plus _PAD_UM beyond the outermost spots.
 
     Each spot is evaluated only inside a box of half-width
     _WINDOW_SIGMAS times its smeared width; the image is the same, bit
@@ -143,11 +144,12 @@ def render(
 
     Raises ValueError, naming the argument, for non-finite positions,
     amplitudes or directions, a zero-length direction, a bright,
-    amplitudes_um or directions of the wrong length, or a flux,
-    background or pad_um (if given) that is not a finite number >= 0.
+    amplitudes_um or directions of the wrong length, a flux or
+    background that is not a finite number >= 0, and, with an rng, a
+    flux or background whose largest pixel mean exceeds numpy's Poisson
+    limit.
     """
-    for name, value in (("flux", flux), ("background", background),
-                        ("pad_um", 0.0 if pad_um is None else pad_um)):
+    for name, value in (("flux", flux), ("background", background)):
         if _checked(name, value, ()) < 0.0:
             raise ValueError(f"{name} must be >= 0")
     pos = np.atleast_2d(np.asarray(positions_um, dtype=float))
@@ -170,10 +172,9 @@ def render(
     psf = model.psf_um
     sig_par = np.sqrt(psf**2 + amps**2)
     p = model.um_per_px
-    if pad_um is None:
-        pad_um = 4.0 * float(sig_par.max()) + 2.0
-    lo = pos.min(axis=0) - pad_um
-    hi = pos.max(axis=0) + pad_um
+    pad = _PAD_SIGMAS * float(sig_par.max()) + _PAD_UM
+    lo = pos.min(axis=0) - pad
+    hi = pos.max(axis=0) + pad
     width = int(math.ceil((hi[0] - lo[0]) / p)) + 1
     height = int(math.ceil((hi[1] - lo[1]) / p)) + 1
     u = lo[0] + np.arange(width) * p
@@ -198,10 +199,17 @@ def render(
             * np.exp(-0.5 * ((t_par / sig_par[i]) ** 2 + (t_perp / psf) ** 2))
         )
     if rng is not None:
+        mean = float(img.max()) + background
+        if not mean <= _POISSON_MAX:
+            name = "background" if background > _POISSON_MAX else "flux"
+            raise ValueError(
+                f"{name} too large: a pixel's Poisson mean {mean:.3g} exceeds "
+                f"{_POISSON_MAX:.3g}"
+            )
         img = rng.poisson(img + background).astype(float)
     elif background:
         img = img + background
-    return CameraImage(img, p, (float(lo[0]), float(lo[1])), tag)
+    return CameraImage(img, p, (float(lo[0]), float(lo[1])))
 
 
 def _checked(name: str, value, shape: tuple) -> np.ndarray:
@@ -219,6 +227,14 @@ def _checked(name: str, value, shape: tuple) -> np.ndarray:
 # beyond r = sqrt(2 * 745.14) sigma_par = 38.61 sigma_par it adds exactly
 # 0.0 to a pixel. 38.7 leaves a margin for the rounding of t_par, t_perp.
 _WINDOW_SIGMAS = 38.7
+# Image margin beyond the outermost spots: this many of the largest
+# smeared widths, plus a fixed distance in micrometres.
+_PAD_SIGMAS = 4.0
+_PAD_UM = 2.0
+# The largest Poisson mean numpy's generator draws from (int64 max - 10 sqrt).
+_POISSON_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
+_SPOT_THRESHOLD = 0.25       # spots are maxima above this fraction of the brightest pixel
+_PGM_MAXVAL = 65535          # write_pgm's full scale: 16-bit samples
 
 
 def _window(offset: float, reach: float, step: float, size: int) -> tuple[int, int]:
@@ -282,12 +298,11 @@ def fit_positions(
     image: CameraImage,
     expected_count: int,
     *,
-    threshold_frac: float = 0.25,
     min_separation_px: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Locate bright spots and fit each with an elliptical Gaussian.
 
-    Detects local maxima above threshold_frac of the global maximum,
+    Detects local maxima above _SPOT_THRESHOLD of the global maximum,
     keeps the brightest expected_count of them (at least
     min_separation_px apart), and fits a window around each. Returns
     positions (expected_count, 2) in um sorted along u, and per-spot rms
@@ -315,7 +330,7 @@ def fit_positions(
                 continue
             is_max &= core >= padded[1 + dr : padded.shape[0] - 1 + dr,
                                      1 + dc : padded.shape[1] - 1 + dc]
-    rows, cols = np.nonzero(is_max & (img > threshold_frac * peak))
+    rows, cols = np.nonzero(is_max & (img > _SPOT_THRESHOLD * peak))
     order = np.argsort(img[rows, cols])[::-1]
     if min_separation_px is None and order.size:
         top = order[0]
@@ -370,23 +385,20 @@ def fit_positions(
     return np.array(results)[by_u], np.array(residuals)[by_u]
 
 
-def write_pgm(image: CameraImage, path, *, maxval: int = 65535) -> None:
-    """Write the image as a binary portable graymap, scaled to maxval."""
-    if not 0 < maxval < 65536:
-        raise ValueError("maxval must be in [1, 65535]")
+def write_pgm(image: CameraImage, path) -> None:
+    """Write the image as a 16-bit binary portable graymap, scaled to _PGM_MAXVAL."""
     data = image.intensity
     top = float(data.max())
-    scaled = data * (maxval / top) if top > 0.0 else data
-    ints = np.clip(np.rint(scaled), 0, maxval)
-    ints = ints.astype(">u2" if maxval > 255 else "u1")
-    header = f"P5\n{data.shape[1]} {data.shape[0]}\n{maxval}\n"
+    scaled = data * (_PGM_MAXVAL / top) if top > 0.0 else data
+    ints = np.clip(np.rint(scaled), 0, _PGM_MAXVAL).astype(">u2")
+    header = f"P5\n{data.shape[1]} {data.shape[0]}\n{_PGM_MAXVAL}\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))
         fh.write(ints.tobytes())
 
 
 def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a binary portable graymap back into a float array."""
+    """Read a binary portable graymap, 8- or 16-bit, into a float array and its maxval."""
     with open(path, "rb") as fh:
         blob = fh.read()
     fields: list[bytes] = []

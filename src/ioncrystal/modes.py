@@ -17,6 +17,7 @@ from .errors import BoundaryError, UnstableConfigurationError
 from .trap import TrapModel
 
 _AXIS_SHARE = 0.9
+_SHARED_RATIO = 2.0          # side maxima closer than this put a mode on both sides
 _AXES = "xyz"
 
 
@@ -149,12 +150,12 @@ def impurity_amplitude_ratio(desc: ModeDescriptor, index: int) -> float:
     return float(desc.ion_amplitudes[index] / others.max())
 
 
-def _side(desc: ModeDescriptor, boundary_index: int, shared_ratio: float) -> str:
+def _side(desc: ModeDescriptor, boundary_index: int) -> str:
     left = desc.ion_amplitudes[:boundary_index].max()
     right = desc.ion_amplitudes[boundary_index + 1 :].max()
-    if left >= shared_ratio * right:
+    if left >= _SHARED_RATIO * right:
         return "left"
-    if right >= shared_ratio * left:
+    if right >= _SHARED_RATIO * left:
         return "right"
     return "both"
 
@@ -164,14 +165,13 @@ def min_same_side_gap(
     *,
     axis: str = "x",
     boundary_index: int | None = None,
-    shared_ratio: float = 2.0,
 ) -> float:
     """Smallest frequency gap between modes living on the same chain side.
 
     Considers modes dominated by `axis`. Without a boundary the gap is
     taken over all of them. With a boundary each mode is assigned to the
     side holding the larger amplitude (the boundary ion excluded); modes
-    whose side maxima differ by less than shared_ratio count on both
+    whose side maxima differ by less than _SHARED_RATIO count on both
     sides. Returns the minimum adjacent gap in rad/s.
     """
     selected = modes_by_axis(modes, axis)
@@ -185,7 +185,7 @@ def min_same_side_gap(
             )
         groups = {"left": [], "right": []}
         for m in selected:
-            side = _side(mode_descriptor(modes, m), boundary_index, shared_ratio)
+            side = _side(mode_descriptor(modes, m), boundary_index)
             if side in ("left", "both"):
                 groups["left"].append(m)
             if side in ("right", "both"):

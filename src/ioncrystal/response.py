@@ -31,6 +31,8 @@ from .errors import NoPeakError, PeakFitError
 from .modes import NormalModeSet
 
 _AXES = "xyz"
+_DETECTION_FACTOR = 5.0      # a resonance exceeds this times the median level
+_FLOOR_FRAC = 0.15           # a peak's fit window ends at this fraction of its height
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,17 +170,17 @@ def _local_maxima(s: np.ndarray, level: float) -> list[int]:
     return (np.flatnonzero(is_peak) + 1).tolist()
 
 
-def _peak_window(s: np.ndarray, k: int, floor_frac: float) -> slice:
+def _peak_window(s: np.ndarray, k: int) -> slice:
     lo = k
     while lo > 0 and s[lo - 1] < s[lo]:
         lo -= 1
-        if s[lo] <= floor_frac * s[k]:
+        if s[lo] <= _FLOOR_FRAC * s[k]:
             break
     hi = k
     last = len(s) - 1
     while hi < last and s[hi + 1] < s[hi]:
         hi += 1
-        if s[hi] <= floor_frac * s[k]:
+        if s[hi] <= _FLOOR_FRAC * s[k]:
             break
     return slice(lo, hi + 1)
 
@@ -188,14 +190,12 @@ def sweep_and_fit(
     drive: DriveSpec,
     *,
     model: str = "gaussian",
-    detection_factor: float = 5.0,
-    floor_frac: float = 0.15,
 ) -> list[PeakFit]:
     """Detect and fit every resonance in a drive sweep.
 
     A resonance is a local maximum of the strongest-ion amplitude
-    exceeding detection_factor times the median level; each is fit over
-    its own flanks (down to floor_frac of the peak, or the valley to the
+    exceeding _DETECTION_FACTOR times the median level; each is fit over
+    its own flanks (down to _FLOOR_FRAC of the peak, or the valley to the
     next peak) with the chosen line model. Centers come back in rad/s
     with covariance-based uncertainties.
     """
@@ -204,7 +204,7 @@ def sweep_and_fit(
     curve = response_curve(modes, drive)
     s = curve.amplitudes.max(axis=1)
     x = curve.frequencies
-    level = detection_factor * float(np.median(s))
+    level = _DETECTION_FACTOR * float(np.median(s))
     peaks = _local_maxima(s, level)
     if not peaks:
         raise NoPeakError("no resonance above the detection level")
@@ -213,7 +213,7 @@ def sweep_and_fit(
     dx = float(np.diff(x).min())
     f, jac = _MODELS[model]
     for k in peaks:
-        win = _peak_window(s, k, floor_frac)
+        win = _peak_window(s, k)
         xs, ys = x[win], s[win]
         if len(xs) < 5:
             raise PeakFitError(

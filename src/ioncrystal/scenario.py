@@ -18,6 +18,7 @@ per-task parameters; missing keys fall back to the dataclass defaults.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,6 +111,9 @@ _AXES = ("x", "y", "z")
 # Largest response sweep, (max_khz - min_khz) / step_khz + 1 points; the
 # checked-in scenarios use 5501.
 _MAX_SWEEP_POINTS = 1_000_000
+# Largest render.flux and render.background (photons): a noisy image's
+# pixel means then stay many orders below numpy's Poisson limit (~9.2e18).
+_MAX_PHOTONS = 1e12
 
 
 def _require(mapping, key, where):
@@ -120,8 +124,9 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
-def _number(value, where, minimum=None, inclusive=False):
-    """A finite float above minimum (or at least minimum when inclusive)."""
+def _number(value, where, minimum=None, inclusive=False, maximum=None):
+    """A finite float above minimum (or at least minimum when inclusive),
+    and at most maximum."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where}: expected a number, got {value!r}")
     try:
@@ -133,6 +138,8 @@ def _number(value, where, minimum=None, inclusive=False):
     if minimum is not None and not (number >= minimum if inclusive else number > minimum):
         bound = ">=" if inclusive else ">"
         raise ScenarioError(f"{where}: must be {bound} {minimum}, got {value}")
+    if maximum is not None and number > maximum:
+        raise ScenarioError(f"{where}: must be <= {maximum:g}, got {value}")
     return number
 
 
@@ -172,13 +179,17 @@ def _species(node, where) -> IonSpecies:
     return IonSpecies(charge, mass)
 
 
-def _section(doc, key) -> dict:
+def _section(doc, key, params) -> dict:
+    """Section `key` of the document over the defaults of its params
+    dataclass, whose fields are the section's only allowed keys."""
     node = doc.get(key, {})
     if node is None:
         node = {}
     if not isinstance(node, dict):
         raise ScenarioError(f"{key}: expected a mapping")
-    return node
+    defaults = dataclasses.asdict(params())
+    _known_keys(node, defaults, key)
+    return {**defaults, **node}
 
 
 def _known_keys(node, allowed, where):
@@ -239,17 +250,15 @@ def parse_scenario(path) -> Scenario:
 
     seed = _integer(doc.get("seed", 0), "seed", minimum=0)
 
-    eq_node = _section(doc, "equilibrium")
-    _known_keys(eq_node, {"restarts", "both_branches"}, "equilibrium")
+    eq_node = _section(doc, "equilibrium", EquilibriumParams)
     equilibrium = EquilibriumParams(
-        restarts=_integer(eq_node.get("restarts", 1), "equilibrium.restarts", 1),
-        both_branches=_flag(eq_node.get("both_branches", False), "equilibrium.both_branches"),
+        restarts=_integer(eq_node["restarts"], "equilibrium.restarts", 1),
+        both_branches=_flag(eq_node["both_branches"], "equilibrium.both_branches"),
     )
 
-    modes_node = _section(doc, "modes")
-    _known_keys(modes_node, {"axis", "boundary"}, "modes")
-    axis = _choice(modes_node.get("axis", "x"), "modes.axis", _AXES)
-    boundary = modes_node.get("boundary")
+    modes_node = _section(doc, "modes", ModesParams)
+    axis = _choice(modes_node["axis"], "modes.axis", _AXES)
+    boundary = modes_node["boundary"]
     if boundary is not None:
         boundary = _integer(boundary, "modes.boundary", minimum=0)
         if boundary >= len(ion_labels):
@@ -259,14 +268,9 @@ def parse_scenario(path) -> Scenario:
             )
     modes = ModesParams(axis=axis, boundary=boundary)
 
-    scan_node = _section(doc, "scan")
-    _known_keys(
-        scan_node,
-        {"arrangements", "alpha_min", "alpha_max", "points", "critical", "method"},
-        "scan",
-    )
+    scan_node = _section(doc, "scan", ScanParams)
     arrangements: dict[str, tuple[IonSpecies, ...]] = {}
-    arr_node = scan_node.get("arrangements", {})
+    arr_node = scan_node["arrangements"]
     if arr_node is None:
         arr_node = {}
     if not isinstance(arr_node, dict):
@@ -274,33 +278,28 @@ def parse_scenario(path) -> Scenario:
     for label, labels in arr_node.items():
         labels = _labels(labels, species, f"scan.arrangements.{label}")
         arrangements[str(label)] = tuple(species[s] for s in labels)
-    method = _choice(scan_node.get("method", "both"), "scan.method",
+    method = _choice(scan_node["method"], "scan.method",
                      ("soft-mode", "order-parameter", "both"))
-    alpha_min = _number(scan_node.get("alpha_min", 0.05), "scan.alpha_min", 0.0)
-    alpha_max = _number(scan_node.get("alpha_max", 0.95), "scan.alpha_max", 0.0)
+    alpha_min = _number(scan_node["alpha_min"], "scan.alpha_min", 0.0)
+    alpha_max = _number(scan_node["alpha_max"], "scan.alpha_max", 0.0)
     if alpha_max <= alpha_min:
         raise ScenarioError("scan.alpha_max: must exceed scan.alpha_min")
     scan = ScanParams(
         arrangements=arrangements,
         alpha_min=alpha_min,
         alpha_max=alpha_max,
-        points=_integer(scan_node.get("points", 16), "scan.points", minimum=2),
-        critical=_flag(scan_node.get("critical", True), "scan.critical"),
+        points=_integer(scan_node["points"], "scan.points", minimum=2),
+        critical=_flag(scan_node["critical"], "scan.critical"),
         method=method,
     )
 
-    resp_node = _section(doc, "response")
-    _known_keys(
-        resp_node,
-        {"axis", "field_v_per_m", "damping_khz", "min_khz", "max_khz", "step_khz"},
-        "response",
-    )
-    raxis = _choice(resp_node.get("axis", "x"), "response.axis", _AXES)
-    rmin = _number(resp_node.get("min_khz", 100.0), "response.min_khz", 0.0)
-    rmax = _number(resp_node.get("max_khz", 1200.0), "response.max_khz", 0.0)
+    resp_node = _section(doc, "response", ResponseParams)
+    raxis = _choice(resp_node["axis"], "response.axis", _AXES)
+    rmin = _number(resp_node["min_khz"], "response.min_khz", 0.0)
+    rmax = _number(resp_node["max_khz"], "response.max_khz", 0.0)
     if rmax <= rmin:
         raise ScenarioError("response.max_khz: must exceed response.min_khz")
-    step = _number(resp_node.get("step_khz", 0.2), "response.step_khz", 0.0)
+    step = _number(resp_node["step_khz"], "response.step_khz", 0.0)
     points = (rmax - rmin) / step + 1.0
     if not points <= _MAX_SWEEP_POINTS:
         raise ScenarioError(
@@ -309,29 +308,26 @@ def parse_scenario(path) -> Scenario:
         )
     response = ResponseParams(
         axis=raxis,
-        field_v_per_m=_number(resp_node.get("field_v_per_m", 1e-3),
-                              "response.field_v_per_m", 0.0, inclusive=True),
-        damping_khz=_number(resp_node.get("damping_khz", 1.0), "response.damping_khz", 0.0),
+        field_v_per_m=_number(resp_node["field_v_per_m"], "response.field_v_per_m",
+                              0.0, inclusive=True),
+        damping_khz=_number(resp_node["damping_khz"], "response.damping_khz", 0.0),
         min_khz=rmin,
         max_khz=rmax,
         step_khz=step,
     )
 
-    render_node = _section(doc, "render")
-    _known_keys(
-        render_node, {"mode", "amplitude_um", "noise", "flux", "background"}, "render"
-    )
-    mode = render_node.get("mode")
+    render_node = _section(doc, "render", RenderParams)
+    mode = render_node["mode"]
     if mode is not None:
         mode = _integer(mode, "render.mode", minimum=0)
     render = RenderParams(
         mode=mode,
-        amplitude_um=_number(render_node.get("amplitude_um", 0.0),
-                             "render.amplitude_um", 0.0, inclusive=True),
-        noise=_flag(render_node.get("noise", False), "render.noise"),
-        flux=_number(render_node.get("flux", 1e4), "render.flux", 0.0),
-        background=_number(render_node.get("background", 0.0),
-                           "render.background", 0.0, inclusive=True),
+        amplitude_um=_number(render_node["amplitude_um"], "render.amplitude_um",
+                             0.0, inclusive=True),
+        noise=_flag(render_node["noise"], "render.noise"),
+        flux=_number(render_node["flux"], "render.flux", 0.0, maximum=_MAX_PHOTONS),
+        background=_number(render_node["background"], "render.background",
+                           0.0, inclusive=True, maximum=_MAX_PHOTONS),
     )
 
     return Scenario(

@@ -18,7 +18,12 @@ nonzero transverse displacement in the relaxed structure. With both, the
 relaxed structure is probed once on each side of alpha*, at alpha* -+
 tolerance/2; a linear-then-buckled pair confirms it. Any other outcome,
 a solver failure included, falls back to bisecting the order parameter
-over the bracket, and the two estimates must then agree.
+over the bracket, widened up to [_ALPHA_MIN, _ALPHA_MAX] where it does
+not hold the onset, and the two estimates must then agree within
+_AGREEMENT_TOL.
+
+configuration_stability counts unstable curvatures at a point that
+passes the solvers' own stationarity test.
 
 Phase scans are continuations: each arrangement is relaxed in ascending
 alpha, every solve starting from the previous minimum, and a grid point
@@ -41,6 +46,7 @@ from .crystal import (
     _energy_gradient,
     _mass_weighted_eigh,
     _squared_frequencies,
+    _stationary,
     _unstable_count,
     axial_equilibrium,
     classify,
@@ -63,8 +69,11 @@ from .trap import (
     frequencies_for_species,
 )
 
+# alpha* is searched for in [_ALPHA_MIN, _ALPHA_MAX]: the order-parameter
+# bisection widens its bracket up to these bounds
 _ALPHA_MIN = 1e-3
 _ALPHA_MAX = 64.0
+_AGREEMENT_TOL = 1e-3        # largest |soft-mode - order-parameter| alpha* of 'both'
 
 
 @dataclass(frozen=True)
@@ -222,16 +231,11 @@ def _soft_mode_alpha(family: AnisotropyFamily, chain: CrystalConfiguration) -> f
     return 1.0 / lam if lam > 0.0 else math.inf
 
 
-def _check_bracket(alpha: float, lo: float, hi: float, widen: bool) -> None:
-    """BracketError unless alpha lies in the bracket, or in the widening range."""
-    if not widen:
-        if alpha <= lo:
-            raise BracketError(f"bracket [{lo}, {hi}] already unstable at {lo}")
-        if alpha > hi:
-            raise BracketError(f"bracket [{lo}, {hi}] still stable at {hi}")
-    elif alpha < _ALPHA_MIN:
+def _check_range(alpha: float) -> None:
+    """BracketError unless alpha lies in [_ALPHA_MIN, _ALPHA_MAX]."""
+    if alpha < _ALPHA_MIN:
         raise BracketError(f"no stable point above alpha = {_ALPHA_MIN}")
-    elif alpha > _ALPHA_MAX:
+    if alpha > _ALPHA_MAX:
         raise BracketError(f"no transition below alpha = {_ALPHA_MAX}")
 
 
@@ -253,17 +257,17 @@ def _confirm_by_probes(predicate, alpha: float, tolerance: float) -> float | Non
     return None
 
 
-def _bisect_predicate(predicate, lo, hi, tol, widen):
-    """Find the switch point of a monotone predicate, False at lo, True at hi."""
+def _bisect_predicate(predicate, lo, hi, tol):
+    """Find the switch point of a monotone predicate, False at lo, True at hi.
+
+    The bracket is widened by halving lo and doubling hi, within
+    [_ALPHA_MIN, _ALPHA_MAX], until it holds the switch.
+    """
     while predicate(lo):
-        if not widen:
-            raise BracketError(f"bracket [{lo}, {hi}] already unstable at {lo}")
         lo *= 0.5
         if lo < _ALPHA_MIN:
             raise BracketError(f"no stable point above alpha = {_ALPHA_MIN}")
     while not predicate(hi):
-        if not widen:
-            raise BracketError(f"bracket [{lo}, {hi}] still stable at {hi}")
         hi *= 2.0
         if hi > _ALPHA_MAX:
             raise BracketError(f"no transition below alpha = {_ALPHA_MAX}")
@@ -284,24 +288,21 @@ def critical_anisotropy(
     bracket: tuple[float, float] = (0.05, 0.95),
     tolerance: float = 1e-4,
     seed: int = 0,
-    widen: bool = True,
-    agreement_tol: float = 1e-3,
 ) -> CriticalPoint:
     """Locate the linear-to-zigzag critical anisotropy of an arrangement.
 
     method 'soft-mode' returns the exact alpha* = 1 / lambda_max(-A, B)
     at which the linear chain's transverse x-block A + B/alpha turns
-    soft; BracketError if alpha* lies outside the bracket and widen is
-    False, or outside [_ALPHA_MIN, _ALPHA_MAX] when it is True.
+    soft; BracketError if alpha* lies outside [_ALPHA_MIN, _ALPHA_MAX].
     'order-parameter' bisects the onset of transverse displacement in
-    the relaxed structure over the bracket (widened if allowed) down to
-    tolerance. 'both' computes alpha* and relaxes the crystal cold at
-    alpha* - tolerance/2 and alpha* + tolerance/2; when the first is
-    linear and the second is not, cross_check is their midpoint (a
-    bisection end state of width tolerance). Otherwise, including when
-    a probe raises SolverError, it bisects the order parameter as above
-    and requires agreement with alpha* within agreement_tol
-    (MethodDisagreementError).
+    the relaxed structure over the bracket, widened within that range
+    where it does not hold the onset, down to tolerance. 'both' computes
+    alpha* and relaxes the crystal cold at alpha* - tolerance/2 and
+    alpha* + tolerance/2; when the first is linear and the second is
+    not, cross_check is their midpoint (a bisection end state of width
+    tolerance). Otherwise, including when a probe raises SolverError, it
+    bisects the order parameter as above and requires agreement with
+    alpha* within _AGREEMENT_TOL (MethodDisagreementError).
     """
     if method not in ("soft-mode", "order-parameter", "both"):
         raise ValueError(f"unknown method '{method}'")
@@ -314,7 +315,7 @@ def critical_anisotropy(
     alpha_soft = alpha_order = None
     if method in ("soft-mode", "both"):
         alpha_soft = _soft_mode_alpha(family, chain)
-        _check_bracket(alpha_soft, lo, hi, widen)
+        _check_range(alpha_soft)
     if method in ("order-parameter", "both"):
         ell = _reference_length(family)
         start = _cold_start(
@@ -328,11 +329,11 @@ def critical_anisotropy(
         if alpha_soft is not None:
             alpha_order = _confirm_by_probes(relaxed_nonlinear, alpha_soft, tolerance)
         if alpha_order is None:
-            alpha_order = _bisect_predicate(relaxed_nonlinear, lo, hi, tolerance, widen)
+            alpha_order = _bisect_predicate(relaxed_nonlinear, lo, hi, tolerance)
 
     if method == "both":
         assert alpha_soft is not None and alpha_order is not None
-        if abs(alpha_soft - alpha_order) > agreement_tol:
+        if abs(alpha_soft - alpha_order) > _AGREEMENT_TOL:
             raise MethodDisagreementError(
                 f"soft-mode ({alpha_soft:.6f}) and order-parameter "
                 f"({alpha_order:.6f}) detectors disagree"
@@ -389,28 +390,22 @@ def scan_configurations(
 
 
 def configuration_stability(
-    trap: TrapModel,
-    config: CrystalConfiguration,
-    *,
-    force_tol: float | None = None,
+    trap: TrapModel, config: CrystalConfiguration
 ) -> StabilityReport:
     """Stability of a stationary configuration by curvature count.
 
-    The input must be stationary; otherwise NonStationaryError is raised
-    since curvature counts at a non-stationary point say nothing about
-    the structure. By default stationarity is is_stationary's test, the
-    one every equilibrium solve ends on; pass force_tol, an absolute
-    bound in newtons, to check a configuration relaxed less tightly
-    elsewhere.
+    The input must pass is_stationary's test, the one every equilibrium
+    solve ends on; otherwise NonStationaryError is raised, since
+    curvature counts at a non-stationary point say nothing about the
+    structure.
     """
     w2 = _squared_frequencies(trap, config.ions)
     _, g, force_scale = _energy_gradient(config.positions, config.masses, config.charges, w2)
     gmax = float(np.abs(g).max())
-    if force_tol is None:
-        force_tol = STATIONARY_REL * force_scale
-    if gmax > force_tol:
+    if not _stationary(g, force_scale):
         raise NonStationaryError(
-            f"largest force component {gmax:.3e} N exceeds {force_tol:.3e} N"
+            f"largest force component {gmax:.3e} N exceeds "
+            f"{STATIONARY_REL * force_scale:.3e} N"
         )
     evals, _ = _mass_weighted_eigh(hessian(trap, config), config.masses)
     negative = _unstable_count(evals)

@@ -125,15 +125,18 @@ def pseudopotential_terms(trap: TrapModel, species: IonSpecies) -> tuple[float, 
     return a, b, c
 
 
+def _squared_secular(trap: TrapModel, species: IonSpecies) -> tuple[float, float, float]:
+    """(omega_x^2, omega_y^2, omega_z^2) of `species`; may be non-positive."""
+    a, b, c = pseudopotential_terms(trap, species)
+    return 2.0 * (c - a - b), 2.0 * (c - a + b), 4.0 * a
+
+
 def frequencies_for_species(trap: TrapModel, species: IonSpecies) -> SpeciesFrequencies:
     """Secular frequencies of `species` in `trap`.
 
     Raises TrapInstabilityError if a squared frequency is non-positive.
     """
-    a, b, c = pseudopotential_terms(trap, species)
-    wx2 = 2.0 * (c - a - b)
-    wy2 = 2.0 * (c - a + b)
-    wz2 = 4.0 * a
+    wx2, wy2, wz2 = _squared_secular(trap, species)
     for axis, w2 in (("x", wx2), ("y", wy2), ("z", wz2)):
         if not w2 > 0.0:
             raise TrapInstabilityError(

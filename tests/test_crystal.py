@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ioncrystal as ic
+from ioncrystal import crystal
 
 OMEGA_RF = 2.0 * math.pi * 10.66e6
 
@@ -109,31 +110,40 @@ def test_positions_scale_with_characteristic_length(ca, ca2):
     np.testing.assert_allclose(pos_w, pos_s, rtol=1e-9, atol=1e-9)
 
 
+def _x_reflection(config):
+    pos = np.array(config.positions)
+    pos[:, 0] = -pos[:, 0]
+    return config.with_positions(pos)
+
+
 def test_zigzag_branch_pair(family, ca):
     # soft radial confinement past the buckling point: three equal ions zigzag
     trap = family.trap_at(0.45)
-    primary, mirror = ic.find_equilibrium(
-        trap, [ca, ca, ca], both_branches=True
-    )
+    primary = ic.find_equilibrium(trap, [ca, ca, ca])
+    mirror = _x_reflection(primary)
     for config in (primary, mirror):
         label = ic.classify(config)
         assert label.kind == "zigzag"
         assert label.plane == "xz"
         assert label.order_parameter > 0.0
-    # the mirror pair is degenerate and x-reflected
+    # the potential is even in x: the reflection is a degenerate minimum,
+    # and a solve from the reflected seed lands on it
     e0 = ic.potential_energy(trap, primary)
-    e1 = ic.potential_energy(trap, mirror)
-    assert e1 == pytest.approx(e0, rel=1e-12)
-    np.testing.assert_allclose(
-        mirror.positions[:, 0], -primary.positions[:, 0], rtol=1e-6
-    )
+    assert ic.potential_energy(trap, mirror) == pytest.approx(e0, rel=1e-12)
+    assert ic.is_stationary(trap, mirror)
+    assert ic.configuration_stability(trap, mirror).stable
+    z = ic.axial_equilibrium(trap, [ca, ca, ca])
+    seed = crystal._cold_start(trap, (ca, ca, ca), z, np.random.default_rng(0))
+    seed[:, 0] *= -1.0
+    solved = ic.find_equilibrium(trap, [ca, ca, ca], initial=seed)
+    np.testing.assert_allclose(solved.positions, mirror.positions, rtol=1e-6)
 
 
 def test_linear_branch_pair_coincides(family, ca):
     trap = family.trap_at(0.30)
-    primary, mirror = ic.find_equilibrium(trap, [ca, ca, ca], both_branches=True)
+    primary = ic.find_equilibrium(trap, [ca, ca, ca])
     np.testing.assert_allclose(
-        mirror.positions, primary.positions, rtol=0.0, atol=1e-15
+        _x_reflection(primary).positions, primary.positions, rtol=0.0, atol=1e-15
     )
 
 
@@ -202,12 +212,10 @@ def test_classify_planes_and_threshold(ca):
     assert both.kind == "other"
     same_side = ic.classify(config(x=(1e-6, 1e-6, 1e-6)))
     assert same_side.kind == "other"
-    # displacements below threshold_factor * length_scale count as zero
+    # displacements below 1e-4 * length_scale count as zero
     tiny = config(x=(1e-12, -1e-12, 1e-12))
     assert ic.classify(tiny, length_scale=10e-6).kind == "linear"
-    assert ic.classify(tiny, length_scale=10e-6, threshold_factor=1e-8).kind == (
-        "zigzag"
-    )
+    assert ic.classify(tiny, length_scale=10e-10).kind == "zigzag"
 
 
 def test_coincident_ions_rejected(ca):
@@ -255,13 +263,11 @@ def test_initial_is_validated(family, ca):
         ic.find_equilibrium(trap, [ca, ca, ca], initial=np.full((3, 3), np.nan))
     with pytest.raises(ic.CoincidentIonsError):
         ic.find_equilibrium(trap, [ca, ca, ca], initial=np.zeros((3, 3)))
-    # a warm start is one start: it excludes restarts and the mirror branch
-    with pytest.raises(ValueError):
+    # a warm start is one start: it excludes restarts
+    with pytest.raises(ValueError, match="restarts"):
         ic.find_equilibrium(trap, [ca, ca, ca], initial=good, restarts=2)
-    with pytest.raises(ValueError):
-        ic.find_equilibrium(trap, [ca, ca, ca], initial=good, both_branches=True)
-    # the cold-start offset and the escape bound are constants, not options
-    with pytest.raises(TypeError):
-        ic.find_equilibrium(trap, [ca, ca, ca], perturbation=1e-8)
-    with pytest.raises(TypeError):
-        ic.find_equilibrium(trap, [ca, ca, ca], max_escapes=8)
+    # the cold-start offset and the escape bound are constants, not options,
+    # and the mirror is the primary's reflection, not a second solve
+    for option in ({"perturbation": 1e-8}, {"max_escapes": 8}, {"both_branches": True}):
+        with pytest.raises(TypeError):
+            ic.find_equilibrium(trap, [ca, ca, ca], **option)

@@ -162,8 +162,12 @@ def _full_grid_render(image, pos, model, bright, amps, dirs, flux, background, s
     "pad_um, smear_um, seed, background",
     list(itertools.product([0.0, None], [0.0, 1.0, 3.0], [None, 11], [0.0, 2.5])),
 )
-def test_windowed_render_matches_the_full_grid(model, pad_um, smear_um, seed, background):
-    # with no pad the outer spots are clipped at all four image edges
+def test_windowed_render_matches_the_full_grid(model, monkeypatch, pad_um, smear_um,
+                                              seed, background):
+    # pad_um None is render's margin, 0.0 none at all
+    if pad_um is not None:
+        monkeypatch.setattr(imaging, "_PAD_SIGMAS", 0.0)
+        monkeypatch.setattr(imaging, "_PAD_UM", pad_um)
     pos = np.array([[-10.0, -3.0], [0.0, 4.0], [8.0, -6.0], [15.0, 2.0], [3.0, 0.5]])
     bright = np.array([True, True, False, True, True])
     amps = smear_um * np.array([0.0, 0.3, 1.0, 0.7, 0.5])
@@ -171,9 +175,15 @@ def test_windowed_render_matches_the_full_grid(model, pad_um, smear_um, seed, ba
     dirs = np.column_stack([np.cos(angles), np.sin(angles)]) * [[1.0], [2.0], [0.5], [1.0], [3.0]]
     rng = None if seed is None else np.random.default_rng(seed)
     image = ic.render(pos, model, bright=bright, amplitudes_um=amps, directions=dirs,
-                      flux=3e4, background=background, rng=rng, pad_um=pad_um)
+                      flux=3e4, background=background, rng=rng)
     expected = _full_grid_render(image, pos, model, bright, amps, dirs, 3e4, background, seed)
     assert image.intensity.tobytes() == expected.tobytes()
+    # either way some spot's window is clipped at each of the four image edges
+    u, v = image.coords()
+    reach = imaging._WINDOW_SIGMAS * np.sqrt(model.psf_um**2 + amps[bright] ** 2)
+    spots = pos[bright]
+    for lo, hi, axis in ((u[0], u[-1], 0), (v[0], v[-1], 1)):
+        assert (spots[:, axis] - reach < lo).any() and (spots[:, axis] + reach > hi).any()
 
 
 @pytest.mark.parametrize(
@@ -191,8 +201,6 @@ def test_windowed_render_matches_the_full_grid(model, pad_um, smear_um, seed, ba
         ({"flux": -1.0}, "flux"),
         ({"background": -0.5}, "background"),
         ({"background": np.inf}, "background"),
-        ({"pad_um": -30.0}, "pad_um"),
-        ({"pad_um": np.nan}, "pad_um"),
     ],
 )
 @pytest.mark.parametrize("noisy", [False, True])
@@ -201,6 +209,20 @@ def test_render_names_a_bad_argument(model, kwargs, name, noisy):
     rng = np.random.default_rng(0) if noisy else None
     with pytest.raises(ValueError, match=name):
         ic.render(args.pop("positions_um"), model, rng=rng, **args)
+
+
+@pytest.mark.parametrize(
+    "psf_um, kwargs, name",
+    [(0.9, {"flux": 1e300}, "flux"), (1e-12, {}, "flux"),
+     (0.9, {"background": 1e19}, "background"), (0.9, {"background": 1e300}, "background")],
+)
+def test_noisy_render_names_a_mean_past_the_poisson_limit(psf_um, kwargs, name):
+    # numpy refuses Poisson means above ~9.2e18 with a bare "lam value too large"
+    model = ic.ProjectionModel(psf_um=psf_um)
+    with pytest.raises(ValueError, match=name):
+        ic.render([[0.0, 0.0], [8.0, 1.0]], model, rng=np.random.default_rng(0), **kwargs)
+    # the noiseless expectation has no such limit
+    assert np.isfinite(ic.render([[0.0, 0.0], [8.0, 1.0]], model, **kwargs).intensity).all()
 
 
 def test_spot_jacobian_matches_central_differences():
@@ -279,13 +301,13 @@ def test_pgm_round_trip(tmp_path, model):
     assert (tmp_path / "again.pgm").read_bytes() == raw
 
 
-def test_pgm_eight_bit(tmp_path, model):
-    image = ic.render(np.array([[0.0, 0.0]]), model, flux=1e4)
+def test_pgm_eight_bit(tmp_path):
+    # write_pgm writes 16 bits; read_pgm also reads 8-bit graymaps, comments included
     path = tmp_path / "small.pgm"
-    ic.write_pgm(image, path, maxval=255)
+    path.write_bytes(b"P5\n# from elsewhere\n3 2\n255\n" + bytes([0, 7, 255, 1, 2, 3]))
     data, maxval = ic.read_pgm(path)
     assert maxval == 255
-    assert data.max() == 255.0
+    np.testing.assert_array_equal(data, [[0.0, 7.0, 255.0], [1.0, 2.0, 3.0]])
 
 
 def test_model_validation():

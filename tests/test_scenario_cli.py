@@ -347,3 +347,53 @@ def test_golden_compare_reports_column_changes(tmp_path, capsys):
     # 0.0 against -0.0 is listed as a changed value with no numeric change
     assert "  zero: 1 values, largest relative change 0, absolute 0" in lines
     assert not any(line.lstrip().startswith("n_points") for line in lines)
+
+
+def _positions(path):
+    rows = list(csv.DictReader(open(path)))
+    return np.array([[float(r[k]) for k in ("x_um", "y_um", "z_um")] for r in rows])
+
+
+def test_mirror_is_the_reflection_of_the_primary(tmp_path, family, ca, ca2):
+    # 12 ions with a central Ca2+ at 6 alpha*: with restarts the primary
+    # comes from another start than the first, whose reflected re-solve
+    # used to give a higher minimum of another kind
+    ions = [ca] * 6 + [ca2] + [ca] * 5
+    alpha = 6.0 * ic.critical_anisotropy(family, ions, method="soft-mode").alpha_x
+    fx, fy, fz = family.frequencies_at(alpha).to_khz()
+    text = MINIMAL.replace("[480.0, 630.0, 119.0]", f"[{fx!r}, {fy!r}, {fz!r}]").replace(
+        "ions: [ca, ca2, ca]", "ions: [ca, ca, ca, ca, ca, ca, ca2, ca, ca, ca, ca, ca]"
+    ).replace("seed: 1", "seed: 1\nequilibrium: {restarts: 3, both_branches: true}")
+    path = tmp_path / "mirror.yaml"
+    path.write_text(text)
+    assert main(["equilibrium", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    primary = _positions(tmp_path / "positions.csv")
+    mirror = _positions(tmp_path / "positions_mirror.csv")
+    assert np.array_equal(mirror, primary * [-1.0, 1.0, 1.0])
+    sc = parse_scenario(path)
+    trap = sc.calibration.trap()
+    configs = [ic.CrystalConfiguration(sc.ions, p * 1e-6) for p in (primary, mirror)]
+    energies = [ic.potential_energy(trap, c) for c in configs]
+    assert energies[1] == pytest.approx(energies[0], rel=1e-12)
+    assert ic.classify(configs[0]).kind == ic.classify(configs[1]).kind
+
+
+def test_single_ion_mirror_stays_at_plus_zero(tmp_path, scenario_file):
+    path = scenario_file(MINIMAL.replace("ions: [ca, ca2, ca]", "ions: [ca]").replace(
+        "seed: 1", "seed: 1\nequilibrium: {both_branches: true}"))
+    assert main(["equilibrium", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    for name in ("positions.csv", "positions_mirror.csv"):
+        row = next(csv.DictReader(open(tmp_path / name)))
+        assert (row["x_um"], row["y_um"], row["z_um"]) == ("0.0", "0.0", "0.0")
+
+
+@pytest.mark.parametrize("field", ["flux", "background"])
+def test_render_photon_counts_are_bounded(tmp_path, scenario_file, capsys, field):
+    # a noisy render of 1e300 photons used to end in numpy's bare
+    # "lam value too large" (exit 1 with a traceback)
+    old = {"flux": "flux: 10000.0", "background": "background: 2.0"}[field]
+    path = scenario_file(MINIMAL.replace(old, f"{field}: 1.0e+300"))
+    with pytest.raises(ic.ScenarioError, match=f"render.{field}"):
+        parse_scenario(path)
+    assert main(["render", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert f"render.{field}" in capsys.readouterr().err
