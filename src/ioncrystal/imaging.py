@@ -147,7 +147,8 @@ def render(
     amplitudes_um or directions of the wrong length, a flux or
     background that is not a finite number >= 0, and, with an rng, a
     flux or background whose largest pixel mean exceeds numpy's Poisson
-    limit.
+    limit. positions_um or amplitudes_um, whichever sets the size, are
+    named when the image would exceed _MAX_PIXELS pixels.
     """
     for name, value in (("flux", flux), ("background", background)):
         if _checked(name, value, ()) < 0.0:
@@ -173,6 +174,15 @@ def render(
     sig_par = np.sqrt(psf**2 + amps**2)
     p = model.um_per_px
     pad = _PAD_SIGMAS * float(sig_par.max()) + _PAD_UM
+    span = pos.max(axis=0) - pos.min(axis=0)
+    pixels = float(np.prod((span + 2.0 * pad) / p + 1.0))
+    if not pixels <= _MAX_PIXELS:
+        # the amplitudes are to blame when the unsmeared spots would fit
+        bare = np.prod((span + 2.0 * (_PAD_SIGMAS * psf + _PAD_UM)) / p + 1.0)
+        name = "amplitudes_um" if bare <= _MAX_PIXELS else "positions_um"
+        raise ValueError(
+            f"{name} span an image of {pixels:.3g} pixels, more than {_MAX_PIXELS:.3g}"
+        )
     lo = pos.min(axis=0) - pad
     hi = pos.max(axis=0) + pad
     width = int(math.ceil((hi[0] - lo[0]) / p)) + 1
@@ -231,6 +241,9 @@ _WINDOW_SIGMAS = 38.7
 # smeared widths, plus a fixed distance in micrometres.
 _PAD_SIGMAS = 4.0
 _PAD_UM = 2.0
+# The largest image render makes, in pixels (80 MB of float64). The
+# largest that any test, scenario or benchmark case renders is 87688.
+_MAX_PIXELS = 1e7
 # The largest Poisson mean numpy's generator draws from (int64 max - 10 sqrt).
 _POISSON_MAX = float(np.iinfo(np.int64).max) - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 _SPOT_THRESHOLD = 0.25       # spots are maxima above this fraction of the brightest pixel

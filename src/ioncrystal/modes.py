@@ -12,13 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crystal import CrystalConfiguration, _mass_weighted_eigh, _soft_floor, hessian
+from .crystal import (
+    CrystalConfiguration,
+    _mass_weighted_eigh,
+    _soft_floor,
+    _unstable_count,
+    hessian,
+)
 from .errors import BoundaryError, UnstableConfigurationError
 from .trap import TrapModel
 
 _AXIS_SHARE = 0.9
 _SHARED_RATIO = 2.0          # side maxima closer than this put a mode on both sides
-_AXES = "xyz"
+_AXES = ("x", "y", "z")      # the drive, mode and scenario axis labels
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,15 +78,13 @@ def normal_modes(trap: TrapModel, config: CrystalConfiguration) -> NormalModeSet
     """
     H = hessian(trap, config)
     evals, evecs = _mass_weighted_eigh(H, config.masses)
-    floor = _soft_floor(evals)
-    negative = evals < -floor
-    if negative.any():
+    negative = _unstable_count(evals)
+    if negative:
         raise UnstableConfigurationError(
-            f"{int(negative.sum())} negative curvature directions: "
-            "not a stable configuration",
-            negative_count=int(negative.sum()),
+            f"{negative} negative curvature directions: not a stable configuration",
+            negative_count=negative,
         )
-    soft = evals < floor
+    soft = evals < _soft_floor(evals)
     freqs = np.sqrt(np.clip(evals, 0.0, None))
     # fix eigenvector signs so output does not depend on the LAPACK build
     for m in range(evecs.shape[1]):

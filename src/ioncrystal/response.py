@@ -28,9 +28,8 @@ import numpy as np
 from scipy.optimize import curve_fit
 
 from .errors import NoPeakError, PeakFitError
-from .modes import NormalModeSet
+from .modes import _AXES, NormalModeSet
 
-_AXES = "xyz"
 _DETECTION_FACTOR = 5.0      # a resonance exceeds this times the median level
 _FLOOR_FRAC = 0.15           # a peak's fit window ends at this fraction of its height
 

@@ -13,7 +13,13 @@ Minimal example:
     seed: 1
 
 Optional sections (equilibrium, modes, scan, response, render) carry the
-per-task parameters; missing keys fall back to the dataclass defaults.
+per-task parameters. Each section is a params dataclass below and each
+of its fields one key: the field's default is the key's default, and the
+check and bounds given to _key are what a value of the key must pass. A
+missing key takes its default; null is a value only where the default is
+None. parse_scenario adds the checks that span keys: modes.boundary
+against the ion count, alpha_max above alpha_min, max_khz above min_khz,
+the response sweep size, and the species of each scan arrangement.
 """
 
 from __future__ import annotations
@@ -26,94 +32,19 @@ from pathlib import Path
 import yaml
 
 from .errors import CalibrationError, ScenarioError
-from .trap import IonSpecies, SpeciesFrequencies
-from .transitions import AnisotropyFamily
-from .trap import TrapModel, calibrate_from_frequencies
+from .modes import _AXES
+from .transitions import _ALPHA_MAX, _ALPHA_MIN, _METHODS, AnisotropyFamily
+from .trap import IonSpecies, SpeciesFrequencies, TrapModel, calibrate_from_frequencies
 
-
-@dataclass(frozen=True)
-class Calibration:
-    reference: IonSpecies
-    frequencies: SpeciesFrequencies
-    rf_frequency: float
-
-    def trap(self) -> TrapModel:
-        return calibrate_from_frequencies(
-            self.reference, self.frequencies, self.rf_frequency
-        )
-
-    def family(self) -> AnisotropyFamily:
-        return AnisotropyFamily.from_calibration(
-            self.reference, self.frequencies, self.rf_frequency
-        )
-
-
-@dataclass(frozen=True)
-class EquilibriumParams:
-    restarts: int = 1
-    both_branches: bool = False
-
-
-@dataclass(frozen=True)
-class ModesParams:
-    axis: str = "x"
-    boundary: int | None = None
-
-
-@dataclass(frozen=True)
-class ScanParams:
-    arrangements: dict[str, tuple[IonSpecies, ...]] = field(default_factory=dict)
-    alpha_min: float = 0.05
-    alpha_max: float = 0.95
-    points: int = 16
-    critical: bool = True
-    method: str = "both"
-
-
-@dataclass(frozen=True)
-class ResponseParams:
-    axis: str = "x"
-    field_v_per_m: float = 1e-3
-    damping_khz: float = 1.0
-    min_khz: float = 100.0
-    max_khz: float = 1200.0
-    step_khz: float = 0.2
-
-
-@dataclass(frozen=True)
-class RenderParams:
-    mode: int | None = None
-    amplitude_um: float = 0.0
-    noise: bool = False
-    flux: float = 1e4
-    background: float = 0.0
-
-
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    calibration: Calibration
-    species: dict[str, IonSpecies]
-    ion_labels: tuple[str, ...]
-    seed: int
-    equilibrium: EquilibriumParams
-    modes: ModesParams
-    scan: ScanParams
-    response: ResponseParams
-    render: RenderParams
-
-    @property
-    def ions(self) -> tuple[IonSpecies, ...]:
-        return tuple(self.species[label] for label in self.ion_labels)
-
-
-_AXES = ("x", "y", "z")
-# Largest response sweep, (max_khz - min_khz) / step_khz + 1 points; the
-# checked-in scenarios use 5501.
-_MAX_SWEEP_POINTS = 1_000_000
+# Largest scan grid and response sweep, (max_khz - min_khz) / step_khz + 1
+# points; the checked-in scenarios use at most 5501.
+_MAX_GRID_POINTS = 1_000_000
 # Largest render.flux and render.background (photons): a noisy image's
 # pixel means then stay many orders below numpy's Poisson limit (~9.2e18).
 _MAX_PHOTONS = 1e12
+# Largest render.amplitude_um: the smeared spots then add at most ~1600
+# pixels along each image axis, far inside imaging's 1e7-pixel cap.
+_MAX_AMPLITUDE_UM = 50.0
 
 
 def _require(mapping, key, where):
@@ -143,11 +74,13 @@ def _number(value, where, minimum=None, inclusive=False, maximum=None):
     return number
 
 
-def _integer(value, where, minimum=None):
+def _integer(value, where, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{where}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{where}: must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ScenarioError(f"{where}: must be <= {maximum}, got {value}")
     return value
 
 
@@ -161,6 +94,133 @@ def _choice(value, where, choices) -> str:
     if value not in choices:
         raise ScenarioError(f"{where}: expected one of {', '.join(choices)}, got {value!r}")
     return value
+
+
+def _mapping(value, where) -> dict:
+    """A mapping; null stands for an empty one."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where}: expected a mapping")
+    return value
+
+
+def _key(default, check, **bounds):
+    """A section key: its default, and the check (with bounds) a value passes."""
+    meta = {"check": check, "bounds": bounds}
+    if isinstance(default, dict):
+        return field(default_factory=dict, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass(frozen=True)
+class Calibration:
+    reference: IonSpecies
+    frequencies: SpeciesFrequencies
+    rf_frequency: float
+
+    def trap(self) -> TrapModel:
+        return calibrate_from_frequencies(
+            self.reference, self.frequencies, self.rf_frequency
+        )
+
+    def family(self) -> AnisotropyFamily:
+        return AnisotropyFamily.from_calibration(
+            self.reference, self.frequencies, self.rf_frequency
+        )
+
+
+@dataclass(frozen=True)
+class EquilibriumParams:
+    restarts: int = _key(1, _integer, minimum=1)
+    both_branches: bool = _key(False, _flag)
+
+
+@dataclass(frozen=True)
+class ModesParams:
+    axis: str = _key("x", _choice, choices=_AXES)
+    boundary: int | None = _key(None, _integer, minimum=0)
+
+
+@dataclass(frozen=True)
+class ScanParams:
+    # parse_scenario turns each list of species labels into IonSpecies
+    arrangements: dict[str, tuple[IonSpecies, ...]] = _key({}, _mapping)
+    alpha_min: float = _key(0.05, _number, minimum=_ALPHA_MIN, inclusive=True,
+                            maximum=_ALPHA_MAX)
+    alpha_max: float = _key(0.95, _number, minimum=_ALPHA_MIN, inclusive=True,
+                            maximum=_ALPHA_MAX)
+    points: int = _key(16, _integer, minimum=2, maximum=_MAX_GRID_POINTS)
+    critical: bool = _key(True, _flag)
+    method: str = _key("both", _choice, choices=_METHODS)
+
+
+@dataclass(frozen=True)
+class ResponseParams:
+    axis: str = _key("x", _choice, choices=_AXES)
+    field_v_per_m: float = _key(1e-3, _number, minimum=0.0, inclusive=True)
+    damping_khz: float = _key(1.0, _number, minimum=0.0)
+    min_khz: float = _key(100.0, _number, minimum=0.0)
+    max_khz: float = _key(1200.0, _number, minimum=0.0)
+    step_khz: float = _key(0.2, _number, minimum=0.0)
+
+
+@dataclass(frozen=True)
+class RenderParams:
+    mode: int | None = _key(None, _integer, minimum=0)
+    amplitude_um: float = _key(0.0, _number, minimum=0.0, inclusive=True,
+                               maximum=_MAX_AMPLITUDE_UM)
+    noise: bool = _key(False, _flag)
+    flux: float = _key(1e4, _number, minimum=0.0, maximum=_MAX_PHOTONS)
+    background: float = _key(0.0, _number, minimum=0.0, inclusive=True,
+                             maximum=_MAX_PHOTONS)
+
+
+@dataclass(frozen=True)
+class Scenario:
+    name: str
+    calibration: Calibration
+    species: dict[str, IonSpecies]
+    ion_labels: tuple[str, ...]
+    seed: int
+    equilibrium: EquilibriumParams
+    modes: ModesParams
+    scan: ScanParams
+    response: ResponseParams
+    render: RenderParams
+
+    @property
+    def ions(self) -> tuple[IonSpecies, ...]:
+        return tuple(self.species[label] for label in self.ion_labels)
+
+
+# The optional sections: each document key and its params dataclass.
+_SECTIONS = {
+    "equilibrium": EquilibriumParams,
+    "modes": ModesParams,
+    "scan": ScanParams,
+    "response": ResponseParams,
+    "render": RenderParams,
+}
+
+
+def _section(doc, key, params):
+    """Section `key` of the document as an instance of its params
+    dataclass, each given value passed through its field's check."""
+    node = _mapping(doc.get(key), key)
+    fields = {f.name: f for f in dataclasses.fields(params)}
+    _known_keys(node, fields, key)
+    return params(**{
+        name: f.metadata["check"](node[name], f"{key}.{name}", **f.metadata["bounds"])
+        for name, f in fields.items()
+        if name in node and not (node[name] is None and f.default is None)
+    })
+
+
+def _known_keys(node, allowed, where):
+    for k in node:
+        if k not in allowed:
+            raise ScenarioError(f"{where}: unknown key '{k}'")
 
 
 def _labels(node, species, where) -> tuple[str, ...]:
@@ -177,25 +237,6 @@ def _species(node, where) -> IonSpecies:
     charge = _integer(_require(node, "charge", where), f"{where}.charge", minimum=1)
     mass = _number(_require(node, "mass_amu", where), f"{where}.mass_amu", minimum=0.0)
     return IonSpecies(charge, mass)
-
-
-def _section(doc, key, params) -> dict:
-    """Section `key` of the document over the defaults of its params
-    dataclass, whose fields are the section's only allowed keys."""
-    node = doc.get(key, {})
-    if node is None:
-        node = {}
-    if not isinstance(node, dict):
-        raise ScenarioError(f"{key}: expected a mapping")
-    defaults = dataclasses.asdict(params())
-    _known_keys(node, defaults, key)
-    return {**defaults, **node}
-
-
-def _known_keys(node, allowed, where):
-    for k in node:
-        if k not in allowed:
-            raise ScenarioError(f"{where}: unknown key '{k}'")
 
 
 def parse_scenario(path) -> Scenario:
@@ -215,12 +256,7 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(f"{path.name}: invalid YAML: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path.name}: top level must be a mapping")
-    _known_keys(
-        doc,
-        {"trap", "species", "ions", "seed", "equilibrium", "modes", "scan",
-         "response", "render"},
-        path.name,
-    )
+    _known_keys(doc, {"trap", "species", "ions", "seed", *_SECTIONS}, path.name)
 
     trap_node = _require(doc, "trap", path.name)
     ref = _species(_require(trap_node, "reference", "trap"), "trap.reference")
@@ -250,85 +286,34 @@ def parse_scenario(path) -> Scenario:
 
     seed = _integer(doc.get("seed", 0), "seed", minimum=0)
 
-    eq_node = _section(doc, "equilibrium", EquilibriumParams)
-    equilibrium = EquilibriumParams(
-        restarts=_integer(eq_node["restarts"], "equilibrium.restarts", 1),
-        both_branches=_flag(eq_node["both_branches"], "equilibrium.both_branches"),
-    )
+    sections = {key: _section(doc, key, params) for key, params in _SECTIONS.items()}
 
-    modes_node = _section(doc, "modes", ModesParams)
-    axis = _choice(modes_node["axis"], "modes.axis", _AXES)
-    boundary = modes_node["boundary"]
-    if boundary is not None:
-        boundary = _integer(boundary, "modes.boundary", minimum=0)
-        if boundary >= len(ion_labels):
-            raise ScenarioError(
-                f"modes.boundary: index {boundary} out of range for "
-                f"{len(ion_labels)} ions"
-            )
-    modes = ModesParams(axis=axis, boundary=boundary)
-
-    scan_node = _section(doc, "scan", ScanParams)
-    arrangements: dict[str, tuple[IonSpecies, ...]] = {}
-    arr_node = scan_node["arrangements"]
-    if arr_node is None:
-        arr_node = {}
-    if not isinstance(arr_node, dict):
-        raise ScenarioError("scan.arrangements: expected a mapping")
-    for label, labels in arr_node.items():
-        labels = _labels(labels, species, f"scan.arrangements.{label}")
-        arrangements[str(label)] = tuple(species[s] for s in labels)
-    method = _choice(scan_node["method"], "scan.method",
-                     ("soft-mode", "order-parameter", "both"))
-    alpha_min = _number(scan_node["alpha_min"], "scan.alpha_min", 0.0)
-    alpha_max = _number(scan_node["alpha_max"], "scan.alpha_max", 0.0)
-    if alpha_max <= alpha_min:
-        raise ScenarioError("scan.alpha_max: must exceed scan.alpha_min")
-    scan = ScanParams(
-        arrangements=arrangements,
-        alpha_min=alpha_min,
-        alpha_max=alpha_max,
-        points=_integer(scan_node["points"], "scan.points", minimum=2),
-        critical=_flag(scan_node["critical"], "scan.critical"),
-        method=method,
-    )
-
-    resp_node = _section(doc, "response", ResponseParams)
-    raxis = _choice(resp_node["axis"], "response.axis", _AXES)
-    rmin = _number(resp_node["min_khz"], "response.min_khz", 0.0)
-    rmax = _number(resp_node["max_khz"], "response.max_khz", 0.0)
-    if rmax <= rmin:
-        raise ScenarioError("response.max_khz: must exceed response.min_khz")
-    step = _number(resp_node["step_khz"], "response.step_khz", 0.0)
-    points = (rmax - rmin) / step + 1.0
-    if not points <= _MAX_SWEEP_POINTS:
+    boundary = sections["modes"].boundary
+    if boundary is not None and boundary >= len(ion_labels):
         raise ScenarioError(
-            f"response.step_khz: {step} kHz from {rmin} to {rmax} kHz gives "
-            f"{points:.3g} sweep points, more than {_MAX_SWEEP_POINTS}"
+            f"modes.boundary: index {boundary} out of range for {len(ion_labels)} ions"
         )
-    response = ResponseParams(
-        axis=raxis,
-        field_v_per_m=_number(resp_node["field_v_per_m"], "response.field_v_per_m",
-                              0.0, inclusive=True),
-        damping_khz=_number(resp_node["damping_khz"], "response.damping_khz", 0.0),
-        min_khz=rmin,
-        max_khz=rmax,
-        step_khz=step,
-    )
 
-    render_node = _section(doc, "render", RenderParams)
-    mode = render_node["mode"]
-    if mode is not None:
-        mode = _integer(mode, "render.mode", minimum=0)
-    render = RenderParams(
-        mode=mode,
-        amplitude_um=_number(render_node["amplitude_um"], "render.amplitude_um",
-                             0.0, inclusive=True),
-        noise=_flag(render_node["noise"], "render.noise"),
-        flux=_number(render_node["flux"], "render.flux", 0.0, maximum=_MAX_PHOTONS),
-        background=_number(render_node["background"], "render.background",
-                           0.0, inclusive=True, maximum=_MAX_PHOTONS),
-    )
+    scan = sections["scan"]
+    arrangements = {
+        str(label): tuple(
+            species[s] for s in _labels(labels, species, f"scan.arrangements.{label}")
+        )
+        for label, labels in scan.arrangements.items()
+    }
+    if scan.alpha_max <= scan.alpha_min:
+        raise ScenarioError("scan.alpha_max: must exceed scan.alpha_min")
+    sections["scan"] = dataclasses.replace(scan, arrangements=arrangements)
+
+    r = sections["response"]
+    if r.max_khz <= r.min_khz:
+        raise ScenarioError("response.max_khz: must exceed response.min_khz")
+    points = (r.max_khz - r.min_khz) / r.step_khz + 1.0
+    if not points <= _MAX_GRID_POINTS:
+        raise ScenarioError(
+            f"response.step_khz: {r.step_khz} kHz from {r.min_khz} to {r.max_khz} kHz "
+            f"gives {points:.3g} sweep points, more than {_MAX_GRID_POINTS}"
+        )
 
     return Scenario(
         name=path.stem,
@@ -336,9 +321,5 @@ def parse_scenario(path) -> Scenario:
         species=species,
         ion_labels=ion_labels,
         seed=seed,
-        equilibrium=equilibrium,
-        modes=modes,
-        scan=scan,
-        response=response,
-        render=render,
+        **sections,
     )

@@ -73,6 +73,7 @@ from .trap import (
 # bisection widens its bracket up to these bounds
 _ALPHA_MIN = 1e-3
 _ALPHA_MAX = 64.0
+_METHODS = ("soft-mode", "order-parameter", "both")  # critical_anisotropy's detectors
 _AGREEMENT_TOL = 1e-3        # largest |soft-mode - order-parameter| alpha* of 'both'
 
 
@@ -304,7 +305,7 @@ def critical_anisotropy(
     bisects the order parameter as above and requires agreement with
     alpha* within _AGREEMENT_TOL (MethodDisagreementError).
     """
-    if method not in ("soft-mode", "order-parameter", "both"):
+    if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'")
     ions = tuple(ions)
     lo, hi = bracket

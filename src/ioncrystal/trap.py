@@ -100,6 +100,9 @@ class TrapModel:
     rf_frequency: float
 
     def __post_init__(self):
+        for name in ("axial_curvature", "rf_gradient", "radial_curvature", "rf_frequency"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.axial_curvature > 0.0:
             raise ValueError("axial_curvature must be positive")
         if not self.rf_frequency > 0.0:

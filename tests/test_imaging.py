@@ -201,6 +201,11 @@ def test_windowed_render_matches_the_full_grid(model, monkeypatch, pad_um, smear
         ({"flux": -1.0}, "flux"),
         ({"background": -0.5}, "background"),
         ({"background": np.inf}, "background"),
+        # images past the pixel cap: these used to end in a MemoryError
+        # (TiB and PiB sized grids) or an OverflowError
+        ({"positions_um": [[0.0, 0.0], [1e12, 0.0]]}, "positions_um"),
+        ({"amplitudes_um": [1e6, 0.0]}, "amplitudes_um"),
+        ({"amplitudes_um": [1e300, 0.0]}, "amplitudes_um"),
     ],
 )
 @pytest.mark.parametrize("noisy", [False, True])

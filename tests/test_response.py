@@ -279,3 +279,9 @@ def test_steady_state_is_finite_and_positive(central, f_khz):
     amp = ic.steady_state(central, drive, f_khz * KHZ)
     assert np.all(np.isfinite(amp))
     assert np.all(amp >= 0.0)
+
+
+def test_drive_axis_is_one_label():
+    # "xy" used to pass as a substring of "xyz" and drive along x
+    with pytest.raises(ValueError, match="axis"):
+        ic.DriveSpec("xy", 1e-7, 1.0 * KHZ, _grid(465, 495, 0.2))

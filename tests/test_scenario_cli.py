@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import json
 import math
@@ -6,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import ioncrystal as ic
 from ioncrystal.cli import main
-from ioncrystal.scenario import parse_scenario
+from ioncrystal.scenario import _SECTIONS, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -122,15 +124,54 @@ def test_error_messages_carry_field_paths(scenario_file):
     [
         ("scan", "seed: 1", "seed: 1\nscan: {alpha_max: .inf, points: 3}", "scan.alpha_max"),
         ("response", "step_khz: 0.2", "step_khz: 1.0e-300", "response.step_khz"),
+        # the grid bound the response sweep has
+        ("scan", "seed: 1", "seed: 1\nscan: {points: 1000000000000}", "scan.points"),
+        # the rf gradient of alpha = 1e-300 overflows to inf
+        ("scan", "seed: 1", "seed: 1\nscan: {alpha_min: 1.0e-300, points: 3}",
+         "scan.alpha_min"),
+        ("render", "render:\n", "render:\n  mode: 0\n  amplitude_um: 1.0e+6\n",
+         "render.amplitude_um"),
+        ("render", "render:\n", "render:\n  mode: 0\n  amplitude_um: 1.0e+300\n",
+         "render.amplitude_um"),
     ],
-    ids=["scan-alpha-max-inf", "response-step-1e-300"],
+    ids=["scan-alpha-max-inf", "response-step-1e-300", "scan-points-1e12",
+         "scan-alpha-min-1e-300", "render-amplitude-1e6", "render-amplitude-1e300"],
 )
 def test_non_finite_and_oversized_inputs_exit_2(tmp_path, scenario_file, capsys,
                                                 command, old, new, needle):
-    # both used to end in a ValueError traceback (exit 1)
+    # each used to end in a traceback (exit 1): a ValueError, a MemoryError
+    # from a TiB-sized grid or image, or an OverflowError
     path = scenario_file(MINIMAL.replace(old, new))
     assert main([command, "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
     assert needle in capsys.readouterr().err
+
+
+HOSTILE = [None, True, "x", [1], {}, -1, 0, 1e300, math.inf, math.nan, 10**12]
+
+
+def _hostile_documents():
+    """MINIMAL's trap and ions with one section key, or one whole section,
+    set to a hostile value."""
+    base = {k: v for k, v in yaml.safe_load(MINIMAL).items() if k not in _SECTIONS}
+    for key, params in _SECTIONS.items():
+        for value in HOSTILE:
+            if value is not None and not isinstance(value, dict):
+                yield key, {**base, key: value}
+            for f in dataclasses.fields(params):
+                yield key, {**base, key: {f.name: value}}
+
+
+def test_hostile_values_fail_only_as_scenario_errors(tmp_path):
+    path = tmp_path / "hostile.yaml"
+    for key, doc in _hostile_documents():
+        path.write_text(yaml.safe_dump(doc))
+        try:
+            parse_scenario(path)
+        except ic.ScenarioError as err:
+            assert key in str(err), doc[key]
+            continue  # main turns this error into exit 2
+        code = main(["calibrate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code in (0, 2), doc[key]
 
 
 def test_sweep_size_bound(scenario_file):

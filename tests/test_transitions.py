@@ -86,6 +86,13 @@ def test_unknown_method_rejected(family, ca):
         ic.critical_anisotropy(family, [ca, ca], method="guess")
 
 
+def test_overflowing_trap_is_rejected(family):
+    # the rf gradient of alpha = 1e-300 overflows; the trap used to be
+    # built anyway, and a solve in it returned its unrelaxed start
+    with pytest.raises(ValueError, match="rf_gradient"):
+        family.trap_at(1e-300)
+
+
 def test_three_regimes(family, ca, ca2):
     arrangements = {
         "pure": [ca, ca, ca],
