@@ -16,7 +16,12 @@ mass-weighted eigenvalues are replaced by their absolute values, and the
 step pushes along the lowest mode while that mode is unstable. A trust
 radius tied to the smallest ion spacing bounds every ion's step, and a
 step is accepted only if it lowers the energy. The loop stops at a
-stationary point (`is_stationary`) with no unstable direction.
+stationary point (`is_stationary`) with no unstable direction. No
+coordinate of an iterate lies strictly between 0 and _FLOOR (in the
+length unit): the loop sets such coordinates to zero. Past the
+transition a warm start carries transverse offsets that each solve
+shrinks by ~1e-14; left alone they reach the subnormal range (below
+2.2e-308), where the Hessian's factorisations run ~20 times slower.
 
 `find_equilibrium` runs the loop on all three axes, from the linear
 chain with small transverse offsets or from given positions. Deep in the
@@ -71,6 +76,13 @@ _PUSH = 0.1                  # smallest per-ion step along an unstable lowest mo
 _FIRST_PUSH = 0.5            # the same for the first push, which picks the branch
 _ARMIJO = 1e-4               # sufficient-decrease constant
 _ROUNDOFF = 1e-14            # relative energy change that counts as round-off
+# Coordinates below this magnitude are set to zero in every iterate. A
+# Hessian entry is at most quadratic in the coordinates, and the product
+# of two coordinates of at least tiny**0.25 is at least sqrt(tiny); times
+# any prefactor above sqrt(tiny) (~1.5e-154) it is at least tiny, a
+# normal number. Below the floor a coordinate is ~1e-77 of the crystal's
+# size, far under any position a solve resolves.
+_FLOOR = np.finfo(float).tiny ** 0.25
 # Minimum selection: a solve of at most _BRANCH_MAX_IONS ions also descends
 # from each start with its first push along each of the next lowest
 # unstable modes, _BRANCHES in all, and keeps the lowest minimum. Larger
@@ -168,19 +180,21 @@ def _squared_frequencies(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndar
 
 
 def _energy_gradient(
-    pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray
+    pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, float]:
     """Energy (J), gradient dE/dr (N, shape of pos) and force scale (N) for raw arrays.
 
     pos and w2 have shape (N, d): all three axes, or z alone. The force
     scale is the largest per-ion sum of trap and Coulomb force
-    magnitudes, the yardstick of the stationarity test.
+    magnitudes, the yardstick of the stationarity test. pairs is
+    _pair_geometry(pos) when the caller already has it.
     """
     grad = masses[:, None] * w2 * pos
     energy = 0.5 * (grad * pos).sum()
     per_ion = np.abs(grad).sum(axis=1)
     if len(masses) > 1:
-        diff, dist = _pair_geometry(pos)
+        diff, dist = pairs or _pair_geometry(pos)
         qq_r = K_COULOMB * np.outer(charges, charges) / dist
         energy += 0.5 * qq_r.sum()
         qq_r2 = qq_r / dist
@@ -190,11 +204,12 @@ def _energy_gradient(
 
 
 def _hessian(
-    pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray
+    pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray,
+    pairs: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Second derivative matrix of the potential, shape (dN, dN), J/m^2.
 
-    pos and w2 have shape (N, d) as in _energy_gradient.
+    pos, w2 and pairs as in _energy_gradient.
     """
     n, d = pos.shape
     H = np.zeros((n, d, n, d))
@@ -202,7 +217,7 @@ def _hessian(
     for ax in range(d):
         H[idx, ax, idx, ax] = masses * w2[:, ax]
     if n > 1:
-        diff, dist = _pair_geometry(pos)
+        diff, dist = pairs or _pair_geometry(pos)
         unit = diff / dist[:, :, None]
         c3 = K_COULOMB * np.outer(charges, charges) / dist**3
         blocks = c3[:, :, None, None] * (
@@ -272,6 +287,12 @@ def _stationary(g: np.ndarray, force_scale: float) -> bool:
     return bool(np.abs(g).max() <= STATIONARY_REL * force_scale)
 
 
+def _flush(u: np.ndarray) -> np.ndarray:
+    """u with every coordinate below _FLOOR in magnitude set to +0.0; the
+    others keep their bits."""
+    return np.where(np.abs(u) < _FLOOR, 0.0, u)
+
+
 def _relax(
     u: np.ndarray,
     masses: np.ndarray,
@@ -298,6 +319,11 @@ def _relax(
     with no unstable mode. The ordered linear chain needs none of this
     machinery: axial_equilibrium solves it by a damped Newton on z.
 
+    The start and every trial point have each coordinate below _FLOOR in
+    magnitude set to zero, so no iterate, and no minimum returned or
+    warm-started from, holds a coordinate in (0, _FLOOR): its energy,
+    gradient and Hessian stay clear of subnormal numbers.
+
     The first push moves _FIRST_PUSH spacings along unstable mode
     first_mode (0 the lowest, 1 the next, ...; the highest unstable one if
     fewer are unstable). Returns the minimum, its energy in units of
@@ -313,19 +339,22 @@ def _relax(
     inv_sqrt_m = 1.0 / np.sqrt(np.repeat(masses, u.shape[1]))
 
     def evaluate(v: np.ndarray):
-        e, g, f = _energy_gradient(v * scale, masses, charges, w2)
-        return e / e0, g.ravel() * (scale / e0), _stationary(g, f)
+        x = v * scale
+        pairs = _pair_geometry(x)
+        e, g, f = _energy_gradient(x, masses, charges, w2, pairs)
+        return e / e0, g.ravel() * (scale / e0), _stationary(g, f), pairs
 
     def size(p: np.ndarray) -> float:
         """Largest per-ion length of a flat step."""
         return float(np.sqrt((p.reshape(u.shape) ** 2).sum(axis=1)).max())
 
-    e, g, stationary = evaluate(u)
+    u = _flush(u)
+    e, g, stationary, pairs = evaluate(u)
     radius = _MAX_RADIUS
     escapes = 0
     forks = 0
     for _ in range(_MAX_STEPS):
-        H = _hessian(u * scale, masses, charges, w2) * (scale**2 / e0)
+        H = _hessian(u * scale, masses, charges, w2, pairs) * (scale**2 / e0)
         try:
             np.linalg.cholesky(H)
             modes = None
@@ -383,8 +412,8 @@ def _relax(
         gmax = np.abs(g).max()
         t = 1.0
         while True:
-            trial = u + t * p
-            e_t, g_t, stationary_t = evaluate(trial)
+            trial = _flush(u + t * p)
+            e_t, g_t, stationary_t, pairs_t = evaluate(trial)
             if unstable == 0 and abs(e_t - e) <= _ROUNDOFF * abs(e):
                 if np.abs(g_t).max() < gmax:
                     break
@@ -399,7 +428,7 @@ def _relax(
                 raise ConvergenceError(
                     "equilibrium solve stalled above the force tolerance"
                 )
-        u, e, g, stationary = trial, e_t, g_t, stationary_t
+        u, e, g, stationary, pairs = trial, e_t, g_t, stationary_t, pairs_t
         radius = min(2.0 * radius, _MAX_RADIUS) if t == 1.0 else t * length / spacing
     else:
         raise ConvergenceError(f"equilibrium solve did not converge in {_MAX_STEPS} steps")
@@ -435,21 +464,23 @@ def axial_equilibrium(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray
     e0 = K_COULOMB * charges[0] ** 2 / scale
 
     def evaluate(u: np.ndarray):
-        e, g, f = _energy_gradient(u[:, None] * scale, masses, charges, w2)
-        return e / e0, g[:, 0] * (scale / e0), _stationary(g, f)
+        x = u[:, None] * scale
+        pairs = _pair_geometry(x)
+        e, g, f = _energy_gradient(x, masses, charges, w2, pairs)
+        return e / e0, g[:, 0] * (scale / e0), _stationary(g, f), pairs
 
     u = (np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559
-    e, g, stationary = evaluate(u)
+    e, g, stationary, pairs = evaluate(u)
     for _ in range(_AXIAL_MAX_STEPS):
         if stationary:
             return u * scale
-        H = _hessian(u[:, None] * scale, masses, charges, w2) * (scale**2 / e0)
+        H = _hessian(u[:, None] * scale, masses, charges, w2, pairs) * (scale**2 / e0)
         p = np.linalg.solve(H, g)
         t = 1.0
         while True:
             trial = u - t * p
             if np.all(np.diff(trial) > 0.0):
-                e_t, g_t, stationary_t = evaluate(trial)
+                e_t, g_t, stationary_t, pairs_t = evaluate(trial)
                 if abs(e_t - e) <= _ROUNDOFF * abs(e):
                     if np.abs(g_t).max() < np.abs(g).max():
                         break
@@ -458,7 +489,7 @@ def axial_equilibrium(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray
             t *= 0.5
             if t < 1e-10:
                 raise ConvergenceError("axial equilibrium stalled above the force tolerance")
-        u, e, g, stationary = trial, e_t, g_t, stationary_t
+        u, e, g, stationary, pairs = trial, e_t, g_t, stationary_t, pairs_t
     raise ConvergenceError(
         f"axial equilibrium did not converge in {_AXIAL_MAX_STEPS} steps"
     )
@@ -487,7 +518,8 @@ def find_equilibrium(
     The start is the linear chain of axial_equilibrium with
     deterministic pseudo-random transverse offsets of size _PERTURBATION
     (metres) drawn from `seed`; restarts > 1 adds further starts with
-    fresh offsets. The descent loop (see the module docstring) runs from
+    fresh offsets, each drawn from the same generator as its descent
+    begins. The descent loop (see the module docstring) runs from
     every start and, for at most _BRANCH_MAX_IONS ions, again from the
     same start along each of the next unstable modes at its first push,
     up to _BRANCHES in all; a branch that fails is dropped. Of this one
@@ -526,9 +558,10 @@ def find_equilibrium(
     if initial is None:
         z = axial_equilibrium(trap, ions)
         rng = np.random.default_rng(seed)
-        starts = [_cold_start(trap, ions, z, rng) for _ in range(restarts)]
+        # drawn one at a time, as the descents reach them
+        starts = (_cold_start(trap, ions, z, rng) for _ in range(restarts))
     else:
-        starts = [initial]
+        starts = (initial,)
 
     def candidates():
         """(u, energy) of the minima from each start, then from its mode

@@ -42,6 +42,9 @@ _MAX_GRID_POINTS = 1_000_000
 # Largest render.flux and render.background (photons): a noisy image's
 # pixel means then stay many orders below numpy's Poisson limit (~9.2e18).
 _MAX_PHOTONS = 1e12
+# Largest equilibrium.restarts: each restart is one more cold descent,
+# up to ~2 s for 96 ions; the checked-in scenarios use the default 1.
+_MAX_RESTARTS = 1000
 # Largest render.amplitude_um: the smeared spots then add at most ~1600
 # pixels along each image axis, far inside imaging's 1e7-pixel cap.
 _MAX_AMPLITUDE_UM = 50.0
@@ -132,7 +135,7 @@ class Calibration:
 
 @dataclass(frozen=True)
 class EquilibriumParams:
-    restarts: int = _key(1, _integer, minimum=1)
+    restarts: int = _key(1, _integer, minimum=1, maximum=_MAX_RESTARTS)
     both_branches: bool = _key(False, _flag)
 
 

@@ -271,3 +271,66 @@ def test_initial_is_validated(family, ca):
     for option in ({"perturbation": 1e-8}, {"max_escapes": 8}, {"both_branches": True}):
         with pytest.raises(TypeError):
             ic.find_equilibrium(trap, [ca, ca, ca], **option)
+
+
+def test_warm_start_flushes_sub_floor_offsets(family, ca):
+    # 5 ions past alpha* buckle in x; y offsets of 1e-200 m are ~1e-195 of
+    # the length unit, below crystal._FLOOR, and are set to exactly zero
+    trap = family.trap_at(0.3)
+    ions = [ca] * 5
+    zigzag = ic.find_equilibrium(trap, ions).positions.copy()
+    zigzag[:, 1] = 0.0
+    tiny_y = zigzag.copy()
+    tiny_y[:, 1] = 1e-200 * (-1.0) ** np.arange(5)
+    flat = ic.find_equilibrium(trap, ions, initial=zigzag)
+    flushed = ic.find_equilibrium(trap, ions, initial=tiny_y)
+    assert np.all(flushed.positions[:, 1] == 0.0)
+    assert ic.potential_energy(trap, flushed) == ic.potential_energy(trap, flat)
+    assert ic.classify(flushed) == ic.classify(flat)
+    assert ic.classify(flat).kind == "zigzag"
+
+
+def test_continuation_holds_no_sub_floor_coordinate(family, ca):
+    # transition-scan's 16-ion grid: each warm start shrinks the
+    # out-of-plane offsets of the zigzag by ~1e-14 until they are zero
+    ions = [ca] * 16
+    tiny = np.finfo(float).tiny
+    scale = crystal._arrays(family.trap_at(0.009), ions)[3]
+    previous = None
+    for alpha in np.linspace(0.009, 0.04, 41):
+        trap = family.trap_at(alpha)
+        config = ic.find_equilibrium(trap, ions, initial=previous)
+        u = config.positions / scale
+        assert not np.any((u != 0.0) & (np.abs(u) < crystal._FLOOR)), alpha
+        H = ic.hessian(trap, config)
+        assert not np.any((H != 0.0) & (np.abs(H) < tiny)), alpha
+        previous = config.positions
+    assert ic.classify(config).kind == "zigzag"
+
+
+def test_restarts_are_drawn_as_the_descents_reach_them(family, ca, monkeypatch):
+    # a huge restart count builds no list of starts up front: with a
+    # descent that stops after k calls, k cold starts have been drawn
+    k, drawn, relaxed = 3, [], []
+    cold_start = crystal._cold_start
+
+    def counting_start(*args):
+        drawn.append(1)
+        if len(drawn) > k:
+            raise AssertionError("cold start drawn before its descent")
+        return cold_start(*args)
+
+    class Stop(Exception):
+        pass
+
+    def stub_relax(u, *args, **kwargs):
+        relaxed.append(1)
+        if len(relaxed) == k:
+            raise Stop
+        return u, 1.0, 0
+
+    monkeypatch.setattr(crystal, "_cold_start", counting_start)
+    monkeypatch.setattr(crystal, "_relax", stub_relax)
+    with pytest.raises(Stop):
+        ic.find_equilibrium(family.trap_at(0.3), [ca, ca, ca], restarts=10**12)
+    assert len(drawn) == len(relaxed) == k

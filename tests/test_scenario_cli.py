@@ -133,9 +133,15 @@ def test_error_messages_carry_field_paths(scenario_file):
          "render.amplitude_um"),
         ("render", "render:\n", "render:\n  mode: 0\n  amplitude_um: 1.0e+300\n",
          "render.amplitude_um"),
+        # one cold descent per restart
+        ("equilibrium", "seed: 1", "seed: 1\nequilibrium: {restarts: 1000000000000}",
+         "equilibrium.restarts"),
+        ("equilibrium", "seed: 1", "seed: 1\nequilibrium: {restarts: 1001}",
+         "equilibrium.restarts"),
     ],
     ids=["scan-alpha-max-inf", "response-step-1e-300", "scan-points-1e12",
-         "scan-alpha-min-1e-300", "render-amplitude-1e6", "render-amplitude-1e300"],
+         "scan-alpha-min-1e-300", "render-amplitude-1e6", "render-amplitude-1e300",
+         "equilibrium-restarts-1e12", "equilibrium-restarts-1001"],
 )
 def test_non_finite_and_oversized_inputs_exit_2(tmp_path, scenario_file, capsys,
                                                 command, old, new, needle):
