@@ -248,13 +248,7 @@ def _cmd_scan(sc: Scenario, out: Path):
     critical_rows = []
     if sc.scan.critical:
         for label, ions in arrangements.items():
-            cp = critical_anisotropy(
-                family,
-                ions,
-                method=sc.scan.method,
-                bracket=(sc.scan.alpha_min, sc.scan.alpha_max),
-                seed=sc.seed,
-            )
+            cp = critical_anisotropy(family, ions, method=sc.scan.method, seed=sc.seed)
             critical_rows.append(
                 (label, cp.alpha_x, cp.alpha_y, cp.method, cp.cross_check)
             )

@@ -56,7 +56,7 @@ class UnstableConfigurationError(SolverError):
 
 
 class BracketError(SolverError):
-    """A bisection bracket contains no sign change."""
+    """The critical anisotropy lies outside the range it is searched in."""
 
 
 class MethodDisagreementError(SolverError):

@@ -6,21 +6,18 @@ gradient while the static curvatures stay fixed. This leaves the axial
 problem untouched, so the linear chain is the same configuration at
 every alpha, bit for bit, and only its transverse stability changes. A
 critical search therefore solves the chain once: it gives the soft-mode
-Hessian and the start of every order-parameter relaxation, which is the
+Hessian and the start of both order-parameter probes, which is the
 array a cold find_equilibrium at that alpha would build from it.
 
-Two independent detectors locate the critical anisotropy. The soft
-mode is closed form: at the fixed linear chain the transverse x-block of
-the Hessian is A + B/alpha with B the diagonal rf term, so the chain
-buckles at alpha* = 1 / lambda_max(-A, B) (Fishman, De Chiara, Calarco &
-Morigi, PRB 77, 064111, 2008). The order parameter is the onset of a
-nonzero transverse displacement in the relaxed structure. With both, the
-relaxed structure is probed once on each side of alpha*, at alpha* -+
-tolerance/2; a linear-then-buckled pair confirms it. Any other outcome,
-a solver failure included, falls back to bisecting the order parameter
-over the bracket, widened up to [_ALPHA_MIN, _ALPHA_MAX] where it does
-not hold the onset, and the two estimates must then agree within
-_AGREEMENT_TOL.
+The critical anisotropy is closed form: at the fixed linear chain the
+transverse x-block of the Hessian is A + B/alpha with B the diagonal rf
+term, so the chain buckles at alpha* = 1 / lambda_max(-A, B) (Fishman,
+De Chiara, Calarco & Morigi, PRB 77, 064111, 2008). The order parameter,
+a nonzero transverse displacement in the relaxed structure, checks it:
+the structure is relaxed once on each side of alpha*, at alpha* -+
+tolerance/2, and must be linear below and buckled above. Any other pair
+of outcomes is a MethodDisagreementError; a solver failure in a probe
+propagates.
 
 configuration_stability counts unstable curvatures at a point that
 passes the solvers' own stationarity test.
@@ -69,12 +66,11 @@ from .trap import (
     frequencies_for_species,
 )
 
-# alpha* is searched for in [_ALPHA_MIN, _ALPHA_MAX]: the order-parameter
-# bisection widens its bracket up to these bounds
+# alpha* outside [_ALPHA_MIN, _ALPHA_MAX] is a BracketError; a tolerance
+# below _ALPHA_MIN keeps the lower probe alpha* - tolerance/2 positive
 _ALPHA_MIN = 1e-3
 _ALPHA_MAX = 64.0
-_METHODS = ("soft-mode", "order-parameter", "both")  # critical_anisotropy's detectors
-_AGREEMENT_TOL = 1e-3        # largest |soft-mode - order-parameter| alpha* of 'both'
+_METHODS = ("soft-mode", "both")  # critical_anisotropy's detectors
 
 
 @dataclass(frozen=True)
@@ -133,9 +129,9 @@ class AnisotropyFamily:
 class CriticalPoint:
     """Critical anisotropy of one arrangement.
 
-    alpha_x is the detected transition point (to within tolerance);
-    cross_check carries the order-parameter estimate when both detectors
-    ran.
+    alpha_x is the exact soft-mode alpha*; with method 'both',
+    cross_check is the midpoint of the two order-parameter probes at
+    alpha* -+ tolerance/2, the linear one below and the buckled one above.
     """
 
     alpha_x: float
@@ -240,114 +236,61 @@ def _check_range(alpha: float) -> None:
         raise BracketError(f"no transition below alpha = {_ALPHA_MAX}")
 
 
-def _confirm_by_probes(predicate, alpha: float, tolerance: float) -> float | None:
-    """Midpoint of alpha -+ tolerance/2 if the predicate switches there, else None.
-
-    The probes never sit on alpha itself, where the soft direction is
-    quartic and a relaxation can stall. A SolverError in a probe counts
-    as no confirmation.
-    """
-    below, above = alpha - 0.5 * tolerance, alpha + 0.5 * tolerance
-    if below <= 0.0:
-        return None
-    try:
-        if not predicate(below) and predicate(above):
-            return 0.5 * (below + above)
-    except SolverError:
-        pass
-    return None
-
-
-def _bisect_predicate(predicate, lo, hi, tol):
-    """Find the switch point of a monotone predicate, False at lo, True at hi.
-
-    The bracket is widened by halving lo and doubling hi, within
-    [_ALPHA_MIN, _ALPHA_MAX], until it holds the switch.
-    """
-    while predicate(lo):
-        lo *= 0.5
-        if lo < _ALPHA_MIN:
-            raise BracketError(f"no stable point above alpha = {_ALPHA_MIN}")
-    while not predicate(hi):
-        hi *= 2.0
-        if hi > _ALPHA_MAX:
-            raise BracketError(f"no transition below alpha = {_ALPHA_MAX}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
-
-
 def critical_anisotropy(
     family: AnisotropyFamily,
     ions: Sequence[IonSpecies],
     *,
     method: str = "both",
-    bracket: tuple[float, float] = (0.05, 0.95),
     tolerance: float = 1e-4,
     seed: int = 0,
 ) -> CriticalPoint:
     """Locate the linear-to-zigzag critical anisotropy of an arrangement.
 
-    method 'soft-mode' returns the exact alpha* = 1 / lambda_max(-A, B)
-    at which the linear chain's transverse x-block A + B/alpha turns
-    soft; BracketError if alpha* lies outside [_ALPHA_MIN, _ALPHA_MAX].
-    'order-parameter' bisects the onset of transverse displacement in
-    the relaxed structure over the bracket, widened within that range
-    where it does not hold the onset, down to tolerance. 'both' computes
-    alpha* and relaxes the crystal cold at alpha* - tolerance/2 and
-    alpha* + tolerance/2; when the first is linear and the second is
-    not, cross_check is their midpoint (a bisection end state of width
-    tolerance). Otherwise, including when a probe raises SolverError, it
-    bisects the order parameter as above and requires agreement with
-    alpha* within _AGREEMENT_TOL (MethodDisagreementError).
+    Returns the exact alpha* = 1 / lambda_max(-A, B) at which the linear
+    chain's transverse x-block A + B/alpha turns soft; BracketError if
+    alpha* lies outside [_ALPHA_MIN, _ALPHA_MAX]. method 'both' also
+    relaxes the crystal cold at alpha* - tolerance/2 and alpha* +
+    tolerance/2: when the first is linear and the second is not,
+    cross_check is their midpoint, otherwise MethodDisagreementError. A
+    SolverError in a probe propagates. tolerance must lie in
+    (0, _ALPHA_MIN), so that both probes sit at a positive alpha.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'")
+    if not 0.0 < tolerance < _ALPHA_MIN:
+        raise ValueError(f"tolerance must lie in (0, {_ALPHA_MIN}), got {tolerance}")
     ions = tuple(ions)
-    lo, hi = bracket
-    if not 0.0 < lo < hi:
-        raise ValueError(f"invalid bracket {bracket}")
-
     chain = _linear_chain(family, ions)
-    alpha_soft = alpha_order = None
-    if method in ("soft-mode", "both"):
-        alpha_soft = _soft_mode_alpha(family, chain)
-        _check_range(alpha_soft)
-    if method in ("order-parameter", "both"):
+    alpha = _soft_mode_alpha(family, chain)
+    _check_range(alpha)
+    cross_check = None
+    if method == "both":
         ell = _reference_length(family)
         start = _cold_start(
             family.trap_at(1.0), ions, chain.positions[:, 2], np.random.default_rng(seed)
         )
-
-        def relaxed_nonlinear(a: float) -> bool:
-            cfg = find_equilibrium(family.trap_at(a), ions, initial=start)
-            return classify(cfg, length_scale=ell).kind != "linear"
-
-        if alpha_soft is not None:
-            alpha_order = _confirm_by_probes(relaxed_nonlinear, alpha_soft, tolerance)
-        if alpha_order is None:
-            alpha_order = _bisect_predicate(relaxed_nonlinear, lo, hi, tolerance)
-
-    if method == "both":
-        assert alpha_soft is not None and alpha_order is not None
-        if abs(alpha_soft - alpha_order) > _AGREEMENT_TOL:
+        # the probes never sit on alpha* itself, where the soft direction is
+        # quartic and a relaxation can stall
+        below, above = alpha - 0.5 * tolerance, alpha + 0.5 * tolerance
+        kinds = [
+            classify(
+                find_equilibrium(family.trap_at(a), ions, initial=start), length_scale=ell
+            ).kind
+            for a in (below, above)
+        ]
+        if kinds[0] != "linear" or kinds[1] == "linear":
             raise MethodDisagreementError(
-                f"soft-mode ({alpha_soft:.6f}) and order-parameter "
-                f"({alpha_order:.6f}) detectors disagree"
+                f"order-parameter probes around the soft-mode alpha* = {alpha:.6f} "
+                f"relaxed to {kinds[0]} below and {kinds[1]} above"
             )
-    alpha = alpha_soft if alpha_soft is not None else alpha_order
-    assert alpha is not None
+        cross_check = 0.5 * (below + above)
     return CriticalPoint(
         alpha_x=float(alpha),
         alpha_y=family.alpha_y_at(float(alpha)),
         method=method,
         arrangement=ions,
         tolerance=tolerance,
-        cross_check=alpha_order if method == "both" else None,
+        cross_check=cross_check,
     )
 
 

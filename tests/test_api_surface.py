@@ -11,7 +11,7 @@ DEFAULTED = {
     "ProjectionModel": ["viewing_angle_deg", "rotation_deg", "magnification", "psf_um",
                         "pixel_pitch_um"],
     "classify": ["length_scale"],
-    "critical_anisotropy": ["method", "bracket", "tolerance", "seed"],
+    "critical_anisotropy": ["method", "tolerance", "seed"],
     "find_equilibrium": ["seed", "restarts", "initial"],
     "fit_positions": ["min_separation_px"],
     "min_same_side_gap": ["axis", "boundary_index"],
@@ -39,4 +39,4 @@ def _defaulted() -> dict[str, list[str]]:
 
 def test_defaulted_parameters_are_pinned():
     assert _defaulted() == DEFAULTED
-    assert sum(map(len, DEFAULTED.values())) == 26
+    assert sum(map(len, DEFAULTED.values())) == 25

@@ -95,6 +95,7 @@ def test_error_messages_carry_field_paths(scenario_file):
         ("  axis: x\nresponse", "  axis: q\nresponse", "modes.axis"),
         ("axis: x\n  field", "axis: [x]\n  field", "response.axis"),
         ("seed: 1", "seed: 1\nscan: {method: fast}", "scan.method"),
+        ("seed: 1", "seed: 1\nscan: {method: order-parameter}", "scan.method"),
         ("field_v_per_m: 1.0e-3", "field_v_per_m: -1.0", "response.field_v_per_m"),
         ("background: 2.0", "background: .nan", "render.background"),
         # every number must be finite, even where only a lower bound applies
@@ -307,6 +308,23 @@ def test_cli_scan_reports_critical_points(tmp_path):
     assert 0.36 <= crit["outer"] <= 0.38
     phase = list(csv.DictReader(open(tmp_path / "phase_map.csv")))
     assert {r["arrangement"] for r in phase} == set(crit)
+
+
+def test_cli_soft_mode_scan_skips_the_probes(tmp_path, scenario_file):
+    # the same alpha* strings as the default 'both' run, without a cross-check
+    text = (SCENARIOS / "three_ion_arrangements.yaml").read_text()
+    soft = scenario_file(text.replace("method: both", "method: soft-mode"), "soft.yaml")
+    rows = {}
+    for method, scenario in (("both", SCENARIOS / "three_ion_arrangements.yaml"),
+                             ("soft-mode", soft)):
+        out = tmp_path / method
+        assert main(["scan", "--scenario", str(scenario), "--out", str(out)]) == 0
+        rows[method] = list(csv.DictReader(open(out / "critical.csv")))
+    assert [r["method"] for r in rows["soft-mode"]] == ["soft-mode"] * 3
+    assert [r["cross_check"] for r in rows["soft-mode"]] == [""] * 3
+    assert all(r["cross_check"] for r in rows["both"])
+    assert ([r["alpha_x"] for r in rows["soft-mode"]]
+            == [r["alpha_x"] for r in rows["both"]])
 
 
 EMITTED = {
