@@ -171,7 +171,10 @@ def render(
         raise ValueError("directions rows must be non-zero")
 
     psf = model.psf_um
-    sig_par = np.sqrt(psf**2 + amps**2)
+    # an overflow gives an inf width, which the _MAX_PIXELS check below
+    # rejects by name
+    with np.errstate(over="ignore"):
+        sig_par = np.sqrt(psf**2 + amps**2)
     p = model.um_per_px
     pad = _PAD_SIGMAS * float(sig_par.max()) + _PAD_UM
     span = pos.max(axis=0) - pos.min(axis=0)

@@ -15,6 +15,12 @@ from ioncrystal.scenario import _SECTIONS, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
+
+def _csv_rows(path):
+    """The rows of a CSV file the CLI wrote, as dicts, with the file closed."""
+    return list(csv.DictReader(path.read_text().splitlines()))
+
+
 MINIMAL = """\
 trap:
   reference: {charge: 1, mass_amu: 40.0}
@@ -267,7 +273,7 @@ def test_cli_record_format(tmp_path, scenario_file):
 def test_cli_calibrate_reports_species(tmp_path, scenario_file):
     good = scenario_file()
     assert main(["calibrate", "--scenario", str(good), "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "species.csv")))
+    rows = _csv_rows(tmp_path / "species.csv")
     by_label = {r["label"]: r for r in rows}
     assert float(by_label["ca"]["f_x_khz"]) == pytest.approx(480.0, rel=1e-9)
     assert float(by_label["ca2"]["f_z_khz"]) == pytest.approx(
@@ -283,30 +289,49 @@ def test_cli_render_sidecar_marks_dark_ions(tmp_path, scenario_file):
     assert {"ions", "origin_um", "um_per_px", "shape", "seed", "noise"} <= set(side)
     bright = [ion["bright"] for ion in side["ions"]]
     assert bright == [True, False, True]
-    rows = list(csv.DictReader(open(tmp_path / "projection.csv")))
+    rows = _csv_rows(tmp_path / "projection.csv")
     assert [r["bright"] for r in rows] == ["true", "false", "true"]
 
 
 def test_cli_modes_match_benchmark_spectrum(tmp_path):
     scenario = SCENARIOS / "six_ion_impurity.yaml"
     assert main(["modes", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
-    rows = list(csv.DictReader(open(tmp_path / "modes.csv")))
+    rows = _csv_rows(tmp_path / "modes.csv")
     got = sorted(float(r["freq_khz"]) for r in rows if r["axis"] == "x")
     expected = (352.0, 403.0, 423.0, 463.0, 468.0, 1006.0)
     assert len(got) == 6
     for g, e in zip(got, expected):
         assert abs(g - e) / e < 0.02
-    summary = {r["key"]: r["value"] for r in csv.DictReader(open(tmp_path / "modes_summary.csv"))}
+    summary = {r["key"]: r["value"] for r in _csv_rows(tmp_path / "modes_summary.csv")}
     assert 40.0 < float(summary["min_same_side_gap_khz"]) < 50.0
+    # the relaxed crystal is the exact linear chain up to round-off
+    sc = parse_scenario(scenario)
+    trap = sc.calibration.trap()
+    chain = np.zeros((len(sc.ions), 3))
+    chain[:, 2] = ic.axial_equilibrium(trap, sc.ions)
+    modes = ic.normal_modes(trap, ic.CrystalConfiguration(sc.ions, chain))
+    exact = sorted(modes.frequencies[m] / (2e3 * math.pi) for m in ic.modes_by_axis(modes, "x"))
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+    # the two modes next to the impurity live on one side of it
+    ratio = {float(r["freq_khz"]): float(r["localization_ratio"]) for r in rows
+             if r["axis"] == "x"}
+    for target in (403.0, 423.0):
+        assert ratio[min(ratio, key=lambda f: abs(f - target))] >= 20.0
 
 
 def test_cli_scan_reports_critical_points(tmp_path):
     scenario = SCENARIOS / "three_ion_arrangements.yaml"
     assert main(["scan", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
-    crit = {r["arrangement"]: float(r["alpha_x"]) for r in csv.DictReader(open(tmp_path / "critical.csv"))}
+    rows = _csv_rows(tmp_path / "critical.csv")
+    crit = {r["arrangement"]: float(r["alpha_x"]) for r in rows}
+    # the probes' midpoint agrees with the soft-mode alpha*
+    for r in rows:
+        assert float(r["cross_check"]) == pytest.approx(float(r["alpha_x"]), abs=1e-3)
     assert crit["pure"] == pytest.approx(5.0 / 12.0, abs=1e-3)
     assert 0.36 <= crit["outer"] <= 0.38
-    phase = list(csv.DictReader(open(tmp_path / "phase_map.csv")))
+    assert crit["central"] == pytest.approx(1.0, abs=1e-3)
+    assert crit["outer"] < crit["pure"] < crit["central"]
+    phase = _csv_rows(tmp_path / "phase_map.csv")
     assert {r["arrangement"] for r in phase} == set(crit)
 
 
@@ -319,12 +344,35 @@ def test_cli_soft_mode_scan_skips_the_probes(tmp_path, scenario_file):
                              ("soft-mode", soft)):
         out = tmp_path / method
         assert main(["scan", "--scenario", str(scenario), "--out", str(out)]) == 0
-        rows[method] = list(csv.DictReader(open(out / "critical.csv")))
+        rows[method] = _csv_rows(out / "critical.csv")
     assert [r["method"] for r in rows["soft-mode"]] == ["soft-mode"] * 3
     assert [r["cross_check"] for r in rows["soft-mode"]] == [""] * 3
     assert all(r["cross_check"] for r in rows["both"])
     assert ([r["alpha_x"] for r in rows["soft-mode"]]
             == [r["alpha_x"] for r in rows["both"]])
+
+
+@pytest.mark.parametrize("name, count", [("three_ion_central", 2), ("three_ion_outer", 3)])
+def test_cli_response_peaks_sit_on_the_modes(tmp_path, name, count):
+    # the central impurity's rocking mode has no drive coupling
+    scenario = SCENARIOS / f"{name}.yaml"
+    assert main(["response", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    peaks = _csv_rows(tmp_path / "peaks.csv")
+    assert len(peaks) == count
+    for row in peaks:
+        assert abs(float(row["center_khz"]) - float(row["nearest_mode_khz"])) < 1.0
+
+
+def test_cli_render_round_trip(tmp_path):
+    # the noisy image read back from disk gives the sidecar's bright positions
+    scenario = SCENARIOS / "three_ion_outer.yaml"
+    assert main(["render", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
+    side = json.loads((tmp_path / "crystal.json").read_text())
+    pixels, _ = ic.read_pgm(tmp_path / "crystal.pgm")
+    image = ic.CameraImage(pixels, side["um_per_px"], tuple(side["origin_um"]))
+    bright = sorted((ion["u_um"], ion["v_um"]) for ion in side["ions"] if ion["bright"])
+    fitted, _ = ic.fit_positions(image, len(bright))
+    assert np.abs(fitted - np.array(bright)).max() < 1.0
 
 
 EMITTED = {
@@ -366,27 +414,6 @@ def test_cli_writes_exactly_its_files(tmp_path, scenario_file, critical):
     assert len(record["mirror_ions"]) == len(record["ions"]) == 3
 
 
-def test_reproduce_results_script(tmp_path, monkeypatch, capsys):
-    path = SCENARIOS.parent / "scripts" / "reproduce_results.py"
-    spec = importlib.util.spec_from_file_location("reproduce_results", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    script.main(["--out", str(tmp_path)])
-    assert {f.name for f in tmp_path.iterdir()} == {
-        "lengths.csv", "critical.csv", "spectrum.csv", "response_fits.csv",
-        "central_mode8.pgm", "outer_noisy.pgm", "outer_noisy.json",
-    }
-    crit = {r["arrangement"]: r for r in csv.DictReader(open(tmp_path / "critical.csv"))}
-    for detector in ("soft_mode", "order_parameter"):
-        alpha = {label: float(row[detector]) for label, row in crit.items()}
-        assert alpha["pure"] == pytest.approx(5.0 / 12.0, abs=1e-3)
-        assert 0.36 <= alpha["outer"] <= 0.38
-        assert alpha["outer"] < alpha["pure"] < alpha["central"]
-    lengths = list(csv.DictReader(open(tmp_path / "lengths.csv")))
-    assert float(lengths[1]["ratio_to_pure"]) == pytest.approx((9.0 / 5.0) ** (1.0 / 3.0), rel=1e-3)
-    assert json.loads((tmp_path / "outer_noisy.json").read_text())["fit_error_um"] < 1.0
-
-
 def test_golden_compare_reports_column_changes(tmp_path, capsys):
     path = SCENARIOS.parent / "scripts" / "cli_golden.py"
     spec = importlib.util.spec_from_file_location("cli_golden", path)
@@ -415,7 +442,7 @@ def test_golden_compare_reports_column_changes(tmp_path, capsys):
 
 
 def _positions(path):
-    rows = list(csv.DictReader(open(path)))
+    rows = _csv_rows(path)
     return np.array([[float(r[k]) for k in ("x_um", "y_um", "z_um")] for r in rows])
 
 
@@ -448,7 +475,7 @@ def test_single_ion_mirror_stays_at_plus_zero(tmp_path, scenario_file):
         "seed: 1", "seed: 1\nequilibrium: {both_branches: true}"))
     assert main(["equilibrium", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     for name in ("positions.csv", "positions_mirror.csv"):
-        row = next(csv.DictReader(open(tmp_path / name)))
+        row = _csv_rows(tmp_path / name)[0]
         assert (row["x_um"], row["y_um"], row["z_um"]) == ("0.0", "0.0", "0.0")
 
 
