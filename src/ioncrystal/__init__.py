@@ -28,7 +28,6 @@ from .errors import (
     IonCrystalError,
     MethodDisagreementError,
     NoPeakError,
-    NonStationaryError,
     PeakFitError,
     SaddlePointError,
     ScenarioError,
@@ -77,15 +76,12 @@ from .trap import (
     characteristic_length,
     frequencies_for_species,
     pseudopotential_terms,
-    trap_is_stable,
 )
 from .transitions import (
     AnisotropyFamily,
     CriticalPoint,
     PhaseMap,
     PhasePoint,
-    StabilityReport,
-    configuration_stability,
     critical_anisotropy,
     scan_configurations,
 )

@@ -42,7 +42,7 @@ from .modes import (
     localization_ratio,
     normal_modes,
 )
-from .response import DriveSpec, response_curve, sweep_and_fit
+from .response import DriveSpec, _fit_peaks, response_curve
 from .scenario import Scenario, parse_scenario
 from .trap import (
     anisotropy,
@@ -275,7 +275,7 @@ def _cmd_response(sc: Scenario, out: Path):
         frequencies=grid,
     )
     curve = response_curve(modes, drive)
-    fits = sweep_and_fit(modes, drive)
+    fits = _fit_peaks(curve)
     mode_khz = [_khz(w) for w in modes.frequencies]
     curve_rows = [
         (_khz(w),) + tuple(curve.amplitudes[g] * 1e6)

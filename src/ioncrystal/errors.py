@@ -63,10 +63,6 @@ class MethodDisagreementError(SolverError):
     """Two independent estimates of the same quantity disagree."""
 
 
-class NonStationaryError(SolverError):
-    """A configuration passed as stationary has a nonzero gradient."""
-
-
 class BoundaryError(IonCrystalError):
     """A side-splitting index leaves one side empty or under-populated."""
 

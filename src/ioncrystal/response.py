@@ -14,7 +14,7 @@ envelope a camera integrates over many drive phases. The whole sweep is
 one matrix product of the (G, 3N) mode amplitudes with the mass-scaled
 |eigenvectors|.
 
-Each resonance is fit with its line model's analytic Jacobian in
+Each resonance is fit with a Gaussian line and its analytic Jacobian in
 (height, centre, width, offset), so the fitter builds no
 finite-difference Jacobian.
 """
@@ -82,7 +82,6 @@ class PeakFit:
     width: float
     offset: float
     n_points: int
-    model: str
 
 
 def drive_overlap(modes: NormalModeSet, axis: str) -> np.ndarray:
@@ -139,26 +138,6 @@ def _gaussian_jacobian(x, a, c, s, o):
     return np.column_stack((e, a * e * d / s**2, a * e * d**2 / s**3, np.ones_like(e)))
 
 
-def _lorentzian(x, a, c, g, o):
-    return a * g**2 / ((x - c) ** 2 + g**2) + o
-
-
-def _lorentzian_jacobian(x, a, c, g, o):
-    """Derivatives of _lorentzian by (a, c, g, o), shape (len(x), 4)."""
-    d = x - c
-    q = 1.0 / (d**2 + g**2)
-    return np.column_stack(
-        (g**2 * q, 2.0 * a * g**2 * d * q**2, 2.0 * a * g * d**2 * q**2, np.ones_like(q))
-    )
-
-
-# each line model with its analytic Jacobian
-_MODELS = {
-    "gaussian": (_gaussian, _gaussian_jacobian),
-    "lorentzian": (_lorentzian, _lorentzian_jacobian),
-}
-
-
 def _local_maxima(s: np.ndarray, level: float) -> list[int]:
     """Indices k with s[k-1] < s[k] >= s[k+1] and s[k] > max(level, 0).
 
@@ -184,23 +163,20 @@ def _peak_window(s: np.ndarray, k: int) -> slice:
     return slice(lo, hi + 1)
 
 
-def sweep_and_fit(
-    modes: NormalModeSet,
-    drive: DriveSpec,
-    *,
-    model: str = "gaussian",
-) -> list[PeakFit]:
+def sweep_and_fit(modes: NormalModeSet, drive: DriveSpec) -> list[PeakFit]:
     """Detect and fit every resonance in a drive sweep.
 
     A resonance is a local maximum of the strongest-ion amplitude
     exceeding _DETECTION_FACTOR times the median level; each is fit over
     its own flanks (down to _FLOOR_FRAC of the peak, or the valley to the
-    next peak) with the chosen line model. Centers come back in rad/s
-    with covariance-based uncertainties.
+    next peak) with a Gaussian line. Centers come back in rad/s with
+    covariance-based uncertainties.
     """
-    if model not in _MODELS:
-        raise ValueError(f"unknown model '{model}'")
-    curve = response_curve(modes, drive)
+    return _fit_peaks(response_curve(modes, drive))
+
+
+def _fit_peaks(curve: ResponseCurve) -> list[PeakFit]:
+    """sweep_and_fit's detection and fits on a curve already swept."""
     s = curve.amplitudes.max(axis=1)
     x = curve.frequencies
     level = _DETECTION_FACTOR * float(np.median(s))
@@ -210,7 +186,6 @@ def sweep_and_fit(
 
     fits = []
     dx = float(np.diff(x).min())
-    f, jac = _MODELS[model]
     for k in peaks:
         win = _peak_window(s, k)
         xs, ys = x[win], s[win]
@@ -220,9 +195,11 @@ def sweep_and_fit(
                 f"{x[k] / (2e3 * np.pi):.1f} kHz; refine the grid"
             )
         base = float(ys.min())
-        p0 = [s[k] - base, x[k], max(0.5 * drive.damping_rate, dx), base]
+        p0 = [s[k] - base, x[k], max(0.5 * curve.drive.damping_rate, dx), base]
         try:
-            popt, pcov = curve_fit(f, xs, ys, p0=p0, jac=jac, maxfev=20000)
+            popt, pcov = curve_fit(
+                _gaussian, xs, ys, p0=p0, jac=_gaussian_jacobian, maxfev=20000
+            )
         except RuntimeError as exc:
             raise PeakFitError(
                 f"fit failed near {x[k] / (2e3 * np.pi):.1f} kHz: {exc}"
@@ -236,7 +213,6 @@ def sweep_and_fit(
                 width=float(abs(popt[2])),
                 offset=float(popt[3]),
                 n_points=len(xs),
-                model=model,
             )
         )
     fits.sort(key=lambda f: f.center)

@@ -15,12 +15,9 @@ term, so the chain buckles at alpha* = 1 / lambda_max(-A, B) (Fishman,
 De Chiara, Calarco & Morigi, PRB 77, 064111, 2008). The order parameter,
 a nonzero transverse displacement in the relaxed structure, checks it:
 the structure is relaxed once on each side of alpha*, at alpha* -+
-tolerance/2, and must be linear below and buckled above. Any other pair
-of outcomes is a MethodDisagreementError; a solver failure in a probe
-propagates.
-
-configuration_stability counts unstable curvatures at a point that
-passes the solvers' own stationarity test.
+_PROBE_SPACING/2, and must be linear below and buckled above. Any other
+pair of outcomes is a MethodDisagreementError; a solver failure in a
+probe propagates.
 
 Phase scans are continuations: each arrangement is relaxed in ascending
 alpha, every solve starting from the previous minimum, and a grid point
@@ -36,26 +33,15 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .crystal import (
-    STATIONARY_REL,
     CrystalConfiguration,
     StructureClass,
     _cold_start,
-    _energy_gradient,
-    _mass_weighted_eigh,
-    _squared_frequencies,
-    _stationary,
-    _unstable_count,
     axial_equilibrium,
     classify,
     find_equilibrium,
     hessian,
 )
-from .errors import (
-    BracketError,
-    MethodDisagreementError,
-    NonStationaryError,
-    SolverError,
-)
+from .errors import BracketError, MethodDisagreementError, SolverError
 from .trap import (
     IonSpecies,
     SpeciesFrequencies,
@@ -66,10 +52,12 @@ from .trap import (
     frequencies_for_species,
 )
 
-# alpha* outside [_ALPHA_MIN, _ALPHA_MAX] is a BracketError; a tolerance
-# below _ALPHA_MIN keeps the lower probe alpha* - tolerance/2 positive
+# alpha* outside [_ALPHA_MIN, _ALPHA_MAX] is a BracketError
 _ALPHA_MIN = 1e-3
 _ALPHA_MAX = 64.0
+# distance between the two order-parameter probes around alpha*; below
+# _ALPHA_MIN, so the lower probe alpha* - _PROBE_SPACING/2 stays positive
+_PROBE_SPACING = 1e-4
 _METHODS = ("soft-mode", "both")  # critical_anisotropy's detectors
 
 
@@ -131,14 +119,14 @@ class CriticalPoint:
 
     alpha_x is the exact soft-mode alpha*; with method 'both',
     cross_check is the midpoint of the two order-parameter probes at
-    alpha* -+ tolerance/2, the linear one below and the buckled one above.
+    alpha* -+ _PROBE_SPACING/2, the linear one below and the buckled one
+    above.
     """
 
     alpha_x: float
     alpha_y: float
     method: str
     arrangement: tuple[IonSpecies, ...]
-    tolerance: float
     cross_check: float | None = None
 
 
@@ -183,14 +171,6 @@ class PhaseMap:
                         f"non-monotone phase boundary for '{label}' "
                         f"at alpha_x = {p.alpha_x}"
                     )
-
-
-@dataclass(frozen=True)
-class StabilityReport:
-    stable: bool
-    negative_count: int
-    min_eigenvalue: float
-    max_force: float
 
 
 def _reference_length(family: AnisotropyFamily) -> float:
@@ -241,7 +221,6 @@ def critical_anisotropy(
     ions: Sequence[IonSpecies],
     *,
     method: str = "both",
-    tolerance: float = 1e-4,
     seed: int = 0,
 ) -> CriticalPoint:
     """Locate the linear-to-zigzag critical anisotropy of an arrangement.
@@ -249,16 +228,13 @@ def critical_anisotropy(
     Returns the exact alpha* = 1 / lambda_max(-A, B) at which the linear
     chain's transverse x-block A + B/alpha turns soft; BracketError if
     alpha* lies outside [_ALPHA_MIN, _ALPHA_MAX]. method 'both' also
-    relaxes the crystal cold at alpha* - tolerance/2 and alpha* +
-    tolerance/2: when the first is linear and the second is not,
+    relaxes the crystal cold at alpha* - _PROBE_SPACING/2 and alpha* +
+    _PROBE_SPACING/2: when the first is linear and the second is not,
     cross_check is their midpoint, otherwise MethodDisagreementError. A
-    SolverError in a probe propagates. tolerance must lie in
-    (0, _ALPHA_MIN), so that both probes sit at a positive alpha.
+    SolverError in a probe propagates.
     """
     if method not in _METHODS:
         raise ValueError(f"unknown method '{method}'")
-    if not 0.0 < tolerance < _ALPHA_MIN:
-        raise ValueError(f"tolerance must lie in (0, {_ALPHA_MIN}), got {tolerance}")
     ions = tuple(ions)
     chain = _linear_chain(family, ions)
     alpha = _soft_mode_alpha(family, chain)
@@ -271,7 +247,7 @@ def critical_anisotropy(
         )
         # the probes never sit on alpha* itself, where the soft direction is
         # quartic and a relaxation can stall
-        below, above = alpha - 0.5 * tolerance, alpha + 0.5 * tolerance
+        below, above = alpha - 0.5 * _PROBE_SPACING, alpha + 0.5 * _PROBE_SPACING
         kinds = [
             classify(
                 find_equilibrium(family.trap_at(a), ions, initial=start), length_scale=ell
@@ -289,7 +265,6 @@ def critical_anisotropy(
         alpha_y=family.alpha_y_at(float(alpha)),
         method=method,
         arrangement=ions,
-        tolerance=tolerance,
         cross_check=cross_check,
     )
 
@@ -332,30 +307,3 @@ def scan_configurations(
     pm.validate_monotone()
     return pm
 
-
-def configuration_stability(
-    trap: TrapModel, config: CrystalConfiguration
-) -> StabilityReport:
-    """Stability of a stationary configuration by curvature count.
-
-    The input must pass is_stationary's test, the one every equilibrium
-    solve ends on; otherwise NonStationaryError is raised, since
-    curvature counts at a non-stationary point say nothing about the
-    structure.
-    """
-    w2 = _squared_frequencies(trap, config.ions)
-    _, g, force_scale = _energy_gradient(config.positions, config.masses, config.charges, w2)
-    gmax = float(np.abs(g).max())
-    if not _stationary(g, force_scale):
-        raise NonStationaryError(
-            f"largest force component {gmax:.3e} N exceeds "
-            f"{STATIONARY_REL * force_scale:.3e} N"
-        )
-    evals, _ = _mass_weighted_eigh(hessian(trap, config), config.masses)
-    negative = _unstable_count(evals)
-    return StabilityReport(
-        stable=negative == 0,
-        negative_count=negative,
-        min_eigenvalue=float(evals[0]),
-        max_force=gmax,
-    )

@@ -150,15 +150,6 @@ def frequencies_for_species(trap: TrapModel, species: IonSpecies) -> SpeciesFreq
     return SpeciesFrequencies(math.sqrt(wx2), math.sqrt(wy2), math.sqrt(wz2))
 
 
-def trap_is_stable(trap: TrapModel, species: IonSpecies) -> bool:
-    """True if all three secular frequencies of `species` are real."""
-    try:
-        frequencies_for_species(trap, species)
-    except TrapInstabilityError:
-        return False
-    return True
-
-
 def calibrate_from_frequencies(
     reference: IonSpecies,
     frequencies: SpeciesFrequencies,
