@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Run every CLI command on every checked-in scenario, in both formats.
+"""Run every CLI command on every checked-in scenario.
 
     PYTHONPATH=src python scripts/cli_golden.py --out DIR
     python scripts/cli_golden.py --compare PARENT_DIR CHANGE_DIR
 
-Each run writes into DIR/<scenario>/<command>-<format>/. Its exit code
-and its stdout and stderr, with the output directory replaced by
-"<out>", go to DIR/runs.txt, one block per run. DIR/minima.csv
+There is one run per command and scenario, written into
+DIR/<scenario>/<command>/. Its exit code and its stdout and stderr,
+with the output directory replaced by "<out>", go to DIR/runs.txt, one
+block per run. DIR/minima.csv
 fingerprints the minimum selection, which no scenario reaches with
 restarts or the mirror branch: every case of tests/data/minima_grid.json
 solved at seed 0 with restarts=1 (the primary and its mirror, the x
@@ -32,26 +33,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GRID = ROOT / "tests" / "data" / "minima_grid.json"
-FORMATS = ("csv", "record")
 MINIMA_COLUMNS = ("charges", "alpha", "restarts", "branch", "energy_j", "kind",
                   "positions_sha1")
 
 
 def run_all(out: Path) -> list[str]:
-    """Run every command x scenario x format under out; return the run log."""
+    """Run every command x scenario under out; return the run log."""
     from ioncrystal.cli import _COMMANDS, main
 
     log = []
     for scenario in sorted(SCENARIOS.glob("*.yaml")):
         for command in _COMMANDS:
-            for fmt in FORMATS:
-                target = out / scenario.stem / f"{command}-{fmt}"
-                stdout, stderr = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                    code = main([command, "--scenario", str(scenario),
-                                 "--out", str(target), "--format", fmt])
-                text = (stdout.getvalue() + stderr.getvalue()).replace(str(target), "<out>")
-                log.append(f"{scenario.stem} {command} {fmt}: exit {code}\n{text}")
+            target = out / scenario.stem / command
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command, "--scenario", str(scenario), "--out", str(target)])
+            text = (stdout.getvalue() + stderr.getvalue()).replace(str(target), "<out>")
+            log.append(f"{scenario.stem} {command}: exit {code}\n{text}")
     return log
 
 

@@ -1,12 +1,10 @@
 """Command line interface.
 
     ioncrystal <command> --scenario file.yaml [--seed N] [--out DIR]
-                         [--format {csv,record}]
 
 Commands: calibrate, equilibrium, modes, scan, response, render. Each
-command returns its tables and its JSON record; main writes them, as one
-<table>.csv per table or as <command>.json. render also writes
-crystal.pgm and crystal.json in both formats.
+command returns its tables, and main writes each as <table>.csv. render
+also writes the image crystal.pgm and its sidecar crystal.json.
 Exit codes: 0 success, 2 scenario or argument problem, 3 solver failure,
 4 fit failure. Outputs are deterministic for a given scenario and seed.
 """
@@ -75,15 +73,6 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_record(path: Path, record: dict) -> None:
-    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-def _rows(header, rows) -> list[dict]:
-    """Table rows as records keyed by the header; extra row fields are dropped."""
-    return [dict(zip(header, row)) for row in rows]
-
-
 def _length_scale(sc: Scenario) -> float:
     cal = sc.calibration
     return characteristic_length(cal.reference, cal.frequencies.omega_z)
@@ -117,10 +106,9 @@ def _positions_rows(sc: Scenario, config) -> list[tuple]:
     return rows
 
 
-# Each command returns (tables, record, message): its CSV tables as
-# {name: (header, rows)}, its JSON record built from those rows (None
-# when the command writes its own files in both formats), and the text
-# main prints between "<command>: " and " -> <out>".
+# Each command returns (tables, message): its CSV tables as
+# {name: (header, rows)} and the text main prints between "<command>: "
+# and " -> <out>".
 
 
 def _cmd_calibrate(sc: Scenario, out: Path):
@@ -145,11 +133,7 @@ def _cmd_calibrate(sc: Scenario, out: Path):
             species_rows,
         ),
     }
-    record = {
-        "trap": dict(trap_rows),
-        "species": {r.pop("label"): r for r in _rows(*tables["species"])},
-    }
-    return tables, record, f"{len(sc.species)} species"
+    return tables, f"{len(sc.species)} species"
 
 
 def _cmd_equilibrium(sc: Scenario, out: Path):
@@ -168,16 +152,14 @@ def _cmd_equilibrium(sc: Scenario, out: Path):
         "positions": (_POSITION_HEADER, positions),
         "equilibrium_summary": (("key", "value"), summary),
     }
-    record = {"ions": _rows(_POSITION_HEADER, positions), "summary": dict(summary)}
     if sc.equilibrium.both_branches:
         mirror = _positions_rows(sc, _mirror(primary))
         tables["positions_mirror"] = (_POSITION_HEADER, mirror)
-        record["mirror_ions"] = _rows(_POSITION_HEADER, mirror)
     message = (
         f"{primary.n} ions, {sclass.kind}, "
         f"length {crystal_length(primary) * 1e6:.3f} um"
     )
-    return tables, record, message
+    return tables, message
 
 
 def _cmd_modes(sc: Scenario, out: Path):
@@ -214,15 +196,7 @@ def _cmd_modes(sc: Scenario, out: Path):
         "eigenvectors": (("mode", "ion", "axis", "component"), vec_rows),
         "modes_summary": (("key", "value"), summary),
     }
-    # the record nests the per-ion amplitudes and leaves out the eigenvectors
-    record = {
-        "modes": [
-            dict(rec, ion_amplitudes=list(row[len(columns):]))
-            for rec, row in zip(_rows(columns, mode_rows), mode_rows)
-        ],
-        "summary": dict(summary),
-    }
-    return tables, record, f"{3 * n} modes, min same-side gap {gap} kHz"
+    return tables, f"{3 * n} modes, min same-side gap {gap} kHz"
 
 
 def _cmd_scan(sc: Scenario, out: Path):
@@ -244,22 +218,19 @@ def _cmd_scan(sc: Scenario, out: Path):
         )
         for p in pm.points
     ]
-    critical_header = ("arrangement", "alpha_x", "alpha_y", "method", "cross_check")
-    critical_rows = []
+    tables = {"phase_map": (map_header, map_rows)}
     if sc.scan.critical:
+        critical_rows = []
         for label, ions in arrangements.items():
             cp = critical_anisotropy(family, ions, method=sc.scan.method, seed=sc.seed)
             critical_rows.append(
                 (label, cp.alpha_x, cp.alpha_y, cp.method, cp.cross_check)
             )
-    tables = {"phase_map": (map_header, map_rows)}
-    if critical_rows:
-        tables["critical"] = (critical_header, critical_rows)
-    record = {
-        "phase_map": _rows(map_header, map_rows),
-        "critical": _rows(critical_header, critical_rows),
-    }
-    return tables, record, f"{len(arrangements)} arrangements x {len(alphas)} points"
+        tables["critical"] = (
+            ("arrangement", "alpha_x", "alpha_y", "method", "cross_check"),
+            critical_rows,
+        )
+    return tables, f"{len(arrangements)} arrangements x {len(alphas)} points"
 
 
 def _cmd_response(sc: Scenario, out: Path):
@@ -302,12 +273,7 @@ def _cmd_response(sc: Scenario, out: Path):
         ),
         "peaks": (peak_header, peak_rows),
     }
-    record = {
-        "peaks": _rows(peak_header, peak_rows),
-        "grid_khz": [row[0] for row in curve_rows],
-        "amplitudes_um": [list(row[1:]) for row in curve_rows],
-    }
-    return tables, record, f"{len(fits)} resonances fitted"
+    return tables, f"{len(fits)} resonances fitted"
 
 
 def _cmd_render(sc: Scenario, out: Path):
@@ -348,7 +314,6 @@ def _cmd_render(sc: Scenario, out: Path):
         (i, label, bool(bright[i]), float(positions[i, 0]), float(positions[i, 1]))
         for i, label in enumerate(sc.ion_labels)
     ]
-    # the image and its sidecar are written in both formats
     write_pgm(image, out / "crystal.pgm")
     sidecar = {
         "scenario": sc.name,
@@ -359,16 +324,18 @@ def _cmd_render(sc: Scenario, out: Path):
         "mode": sc.render.mode,
         "amplitude_um": sc.render.amplitude_um,
         "noise": sc.render.noise,
-        "ions": _rows(header[1:], (row[1:] for row in projection)),
+        "ions": [dict(zip(header[1:], row[1:])) for row in projection],
     }
-    _write_record(out / "crystal.json", sidecar)
+    (out / "crystal.json").write_text(
+        json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    )
     tables = {"projection": (header, projection)}
     dark = int((~bright).sum())
     message = (
         f"{image.intensity.shape[1]}x{image.intensity.shape[0]} px, "
         f"{dark} dark ions"
     )
-    return tables, None, message
+    return tables, message
 
 
 _COMMANDS = {
@@ -400,8 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--format", choices=("csv", "record"), default="csv",
-                       dest="out_format", help="csv tables or one JSON record")
     return parser
 
 
@@ -418,12 +383,9 @@ def main(argv=None) -> int:
             sc = dataclasses.replace(sc, seed=args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        tables, record, message = _COMMANDS[args.command](sc, out)
-        if args.out_format == "csv":
-            for name, (header, rows) in tables.items():
-                _write_csv(out / f"{name}.csv", header, rows)
-        elif record is not None:
-            _write_record(out / f"{args.command}.json", record)
+        tables, message = _COMMANDS[args.command](sc, out)
+        for name, (header, rows) in tables.items():
+            _write_csv(out / f"{name}.csv", header, rows)
         print(f"{args.command}: {message} -> {out}")
         return 0
     except (ScenarioError, CalibrationError) as exc:

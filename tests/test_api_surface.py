@@ -1,6 +1,10 @@
 import inspect
+from pathlib import Path
 
 import ioncrystal
+from ioncrystal.cli import build_parser, main
+
+SCENARIO = Path(__file__).resolve().parent.parent / "scenarios" / "three_ion_central.yaml"
 
 # Every public name of the package; adding or removing an export is a
 # reviewed edit here.
@@ -69,3 +73,13 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(obj)
     ]
     assert sorted(names) == PUBLIC
+
+
+def test_cli_flags_are_pinned(capsys):
+    # every command takes --scenario, --seed and --out and nothing else;
+    # adding a flag is a reviewed edit here
+    for command in ("calibrate", "equilibrium", "modes", "scan", "response", "render"):
+        args = build_parser().parse_args([command, "--scenario", "s.yaml"])
+        assert set(vars(args)) == {"command", "scenario", "seed", "out"}
+        assert main([command, "--scenario", str(SCENARIO), "--format", "csv"]) == 2
+        assert "--format" in capsys.readouterr().err

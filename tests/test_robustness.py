@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import ioncrystal as ic
+from ioncrystal import transitions
 
 ROOT = Path(__file__).resolve().parent.parent
 GRID = json.loads((ROOT / "tests" / "data" / "minima_grid.json").read_text())
@@ -78,7 +79,8 @@ def test_long_axial_chains_match_the_oracle(family, ca, ca2, n, impurity):
 
 
 def test_axial_chains_of_random_mixtures_match_the_oracle(family):
-    # charges 1-3 and masses 6-200 amu, chains of 2-100 ions
+    # charges 1-3 and masses 6-200 amu, chains of 2-100 ions: the axial
+    # chain, and alpha* wherever it lies inside the critical search's range
     oracle = _oracle()
     ref = oracle.Trap.from_khz(480.0, 630.0, 119.0)
     trap = family.trap_at(1.0)
@@ -87,10 +89,19 @@ def test_axial_chains_of_random_mixtures_match_the_oracle(family):
         n = int(rng.integers(2, 101))
         charges = [int(q) for q in rng.integers(1, 4, n)]
         masses = [float(m) for m in rng.uniform(6.0, 200.0, n)]
-        z = ic.axial_equilibrium(trap, [ic.IonSpecies(q, m) for q, m in zip(charges, masses)])
-        exact = oracle.axial_chain(ref, oracle.Ions(tuple(charges), tuple(masses)))
+        ions = [ic.IonSpecies(q, m) for q, m in zip(charges, masses)]
+        z = ic.axial_equilibrium(trap, ions)
+        mixture = oracle.Ions(tuple(charges), tuple(masses))
+        exact = oracle.axial_chain(ref, mixture)
         assert np.all(np.diff(z) > 0.0)
         assert np.abs(z - exact).max() <= 1e-9 * np.abs(exact).max(), (charges, masses)
+        alpha = oracle.critical_alpha(ref, mixture)
+        if alpha >= transitions._ALPHA_MIN:
+            cp = ic.critical_anisotropy(family, ions, method="soft-mode")
+            assert cp.alpha_x == pytest.approx(alpha, rel=1e-12, abs=0.0), (charges, masses)
+        else:
+            with pytest.raises(ic.BracketError):
+                ic.critical_anisotropy(family, ions, method="soft-mode")
 
 
 def test_order_parameter_search_for_a_former_stalling_seed(family, ca, ca2):

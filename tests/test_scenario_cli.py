@@ -21,6 +21,11 @@ def _csv_rows(path):
     return list(csv.DictReader(path.read_text().splitlines()))
 
 
+def _positions(path):
+    rows = _csv_rows(path)
+    return np.array([[float(r[k]) for k in ("x_um", "y_um", "z_um")] for r in rows])
+
+
 MINIMAL = """\
 trap:
   reference: {charge: 1, mass_amu: 40.0}
@@ -258,18 +263,6 @@ def test_cli_seed_override_changes_the_noise(tmp_path, scenario_file):
     assert json.loads((tmp_path / "s1" / "crystal.json").read_text())["seed"] == 1
 
 
-def test_cli_record_format(tmp_path, scenario_file):
-    good = scenario_file()
-    assert main([
-        "modes", "--scenario", str(good), "--out", str(tmp_path), "--format", "record",
-    ]) == 0
-    record = json.loads((tmp_path / "modes.json").read_text())
-    assert {"modes", "summary"} <= set(record)
-    assert record["summary"]["axis"] == "x"
-    assert len(record["modes"]) == 9
-    assert all({"freq_khz", "axis", "soft"} <= set(m) for m in record["modes"])
-
-
 def test_cli_calibrate_reports_species(tmp_path, scenario_file):
     good = scenario_file()
     assert main(["calibrate", "--scenario", str(good), "--out", str(tmp_path)]) == 0
@@ -376,18 +369,12 @@ def test_cli_render_round_trip(tmp_path):
 
 
 EMITTED = {
-    "calibrate": ({"trap.csv", "species.csv"}, {"calibrate.json"}),
-    "equilibrium": (
-        {"positions.csv", "positions_mirror.csv", "equilibrium_summary.csv"},
-        {"equilibrium.json"},
-    ),
-    "modes": ({"modes.csv", "eigenvectors.csv", "modes_summary.csv"}, {"modes.json"}),
-    "scan": ({"phase_map.csv", "critical.csv"}, {"scan.json"}),
-    "response": ({"response.csv", "peaks.csv"}, {"response.json"}),
-    "render": (
-        {"crystal.pgm", "crystal.json", "projection.csv"},
-        {"crystal.pgm", "crystal.json"},
-    ),
+    "calibrate": {"trap.csv", "species.csv"},
+    "equilibrium": {"positions.csv", "positions_mirror.csv", "equilibrium_summary.csv"},
+    "modes": {"modes.csv", "eigenvectors.csv", "modes_summary.csv"},
+    "scan": {"phase_map.csv", "critical.csv"},
+    "response": {"response.csv", "peaks.csv"},
+    "render": {"crystal.pgm", "crystal.json", "projection.csv"},
 }
 
 
@@ -399,19 +386,25 @@ def test_cli_writes_exactly_its_files(tmp_path, scenario_file, critical):
         f"critical: {str(critical).lower()}}}"
     ))
     path = scenario_file(text)
-    for command, (csv_files, record_files) in EMITTED.items():
+    for command, expected in EMITTED.items():
         if command == "scan" and not critical:
-            csv_files = csv_files - {"critical.csv"}
-        for fmt, expected in (("csv", csv_files), ("record", record_files)):
-            out = tmp_path / f"{command}-{fmt}"
-            assert main([command, "--scenario", str(path), "--out", str(out),
-                         "--format", fmt]) == 0
-            assert {f.name for f in out.iterdir()} == expected, (command, fmt)
-    record = json.loads((tmp_path / "scan-record" / "scan.json").read_text())
-    assert len(record["critical"]) == (1 if critical else 0)
-    assert len(record["phase_map"]) == 3
-    record = json.loads((tmp_path / "equilibrium-record" / "equilibrium.json").read_text())
-    assert len(record["mirror_ions"]) == len(record["ions"]) == 3
+            expected = expected - {"critical.csv"}
+        out = tmp_path / command
+        assert main([command, "--scenario", str(path), "--out", str(out)]) == 0
+        assert {f.name for f in out.iterdir()} == expected, command
+    if critical:
+        assert len(_csv_rows(tmp_path / "scan" / "critical.csv")) == 1
+    assert len(_csv_rows(tmp_path / "scan" / "phase_map.csv")) == 3
+    primary = _positions(tmp_path / "equilibrium" / "positions.csv")
+    mirror = _positions(tmp_path / "equilibrium" / "positions_mirror.csv")
+    assert len(primary) == len(mirror) == 3
+    assert np.array_equal(mirror[:, 0], -primary[:, 0])
+    modes = _csv_rows(tmp_path / "modes" / "modes.csv")
+    assert len(modes) == 9
+    assert {r["soft"] for r in modes} <= {"true", "false"}
+    assert all(r["freq_khz"] and r["axis"] in ("x", "y", "z") for r in modes)
+    summary = {r["key"]: r["value"] for r in _csv_rows(tmp_path / "modes" / "modes_summary.csv")}
+    assert summary["axis"] == "x"
 
 
 def test_golden_compare_reports_column_changes(tmp_path, capsys):
@@ -423,27 +416,22 @@ def test_golden_compare_reports_column_changes(tmp_path, capsys):
     for root, center, label, zero in (
         (parent, "480.0", "a", "0.0"), (change, "480.0000001", "b", "-0.0")
     ):
-        (root / "s" / "response-csv").mkdir(parents=True)
-        (root / "s" / "response-csv" / "peaks.csv").write_text(
+        (root / "s" / "response").mkdir(parents=True)
+        (root / "s" / "response" / "peaks.csv").write_text(
             f"center_khz,n_points,label,zero\n{center},36,{label},{zero}\n1.0,5,c,0.0\n"
         )
-        (root / "runs.txt").write_text("s response csv: exit 0\n")
+        (root / "runs.txt").write_text("s response: exit 0\n")
     assert script.main_cli(["--compare", str(parent), str(parent)]) == 0
     capsys.readouterr()
     assert script.main_cli(["--compare", str(parent), str(change)]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert "runs.txt: identical" in lines
-    assert "s/response-csv/peaks.csv: differs" in lines
+    assert "s/response/peaks.csv: differs" in lines
     assert "  center_khz: 1 values, largest relative change 2.1e-10, absolute 1e-07" in lines
     assert "  label: 1 text values differ" in lines
     # 0.0 against -0.0 is listed as a changed value with no numeric change
     assert "  zero: 1 values, largest relative change 0, absolute 0" in lines
     assert not any(line.lstrip().startswith("n_points") for line in lines)
-
-
-def _positions(path):
-    rows = _csv_rows(path)
-    return np.array([[float(r[k]) for k in ("x_um", "y_um", "z_um")] for r in rows])
 
 
 def test_mirror_is_the_reflection_of_the_primary(tmp_path, family, ca, ca2):
