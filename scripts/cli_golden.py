@@ -11,10 +11,10 @@ block per run. DIR/minima.csv
 fingerprints the minimum selection, which no scenario reaches with
 restarts or the mirror branch: every case of tests/data/minima_grid.json
 solved at seed 0 with restarts=1 (the primary and its mirror, the x
-reflection the equilibrium command writes) and restarts=3, one row each
-with its energy, classify kind (or the error's name) and the SHA-1 of
-the position bytes. A change that does not touch the numerics must
-leave every file of two such trees byte-identical.
+reflection of the primary) and restarts=3, one row each with its energy,
+classify kind (or the error's name) and the SHA-1 of the position bytes.
+A change that does not touch the numerics must leave every file of two
+such trees byte-identical.
 --compare reports, for every CSV that differs, the largest relative and
 absolute change of each numeric column, and for every other file
 whether its bytes match. It exits 0 when the two trees are
@@ -53,10 +53,18 @@ def run_all(out: Path) -> list[str]:
     return log
 
 
+def _mirror(config):
+    """The x reflection of a configuration: the potential is even in x, so
+    this is the degenerate mirror of a minimum. Written 0.0 - x so that an
+    ion at x = 0.0 stays at +0.0."""
+    pos = config.positions.copy()
+    pos[:, 0] = 0.0 - pos[:, 0]
+    return config.with_positions(pos)
+
+
 def minima_rows() -> list[tuple]:
     """One minima.csv row per grid case and selection path (see the module doc)."""
     import ioncrystal as ic
-    from ioncrystal.cli import _mirror
 
     ca = ic.IonSpecies(1, 40.0)
     family = ic.AnisotropyFamily.from_calibration(

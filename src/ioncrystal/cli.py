@@ -3,10 +3,13 @@
     ioncrystal <command> --scenario file.yaml [--seed N] [--out DIR]
 
 Commands: calibrate, equilibrium, modes, scan, response, render. Each
-command returns its tables, and main writes each as <table>.csv. render
-also writes the image crystal.pgm and its sidecar crystal.json.
-Exit codes: 0 success, 2 scenario or argument problem, 3 solver failure,
-4 fit failure. Outputs are deterministic for a given scenario and seed.
+command reads the trap and anisotropy family parse_scenario built,
+returns its tables, and main writes each as <table>.csv. render also
+writes the image crystal.pgm and its sidecar crystal.json.
+Exit codes: 0 success, 2 scenario or argument problem (a trap that
+cannot be built and an image too large to render among them), 3 solver
+failure, 4 fit failure. Outputs are deterministic for a given scenario
+and seed.
 """
 
 from __future__ import annotations
@@ -42,12 +45,8 @@ from .modes import (
 )
 from .response import DriveSpec, _fit_peaks, response_curve
 from .scenario import Scenario, parse_scenario
-from .trap import (
-    anisotropy,
-    characteristic_length,
-    frequencies_for_species,
-)
-from .transitions import critical_anisotropy, scan_configurations
+from .trap import anisotropy, frequencies_for_species
+from .transitions import _reference_length, critical_anisotropy, scan_configurations
 
 _TWO_PI_KHZ = 2e3 * np.pi
 
@@ -73,25 +72,8 @@ def _write_csv(path: Path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _length_scale(sc: Scenario) -> float:
-    cal = sc.calibration
-    return characteristic_length(cal.reference, cal.frequencies.omega_z)
-
-
 def _solve(sc: Scenario):
-    trap = sc.calibration.trap()
-    return trap, find_equilibrium(
-        trap, sc.ions, seed=sc.seed, restarts=sc.equilibrium.restarts
-    )
-
-
-def _mirror(config):
-    """The x reflection of a configuration: the potential is even in x, so
-    this is the degenerate mirror of a minimum. Written 0.0 - x so that an
-    ion at x = 0.0 stays at +0.0."""
-    pos = config.positions.copy()
-    pos[:, 0] = 0.0 - pos[:, 0]
-    return config.with_positions(pos)
+    return find_equilibrium(sc.trap, sc.ions, seed=sc.seed)
 
 
 _POSITION_HEADER = ("ion", "label", "charge", "mass_amu", "x_um", "y_um", "z_um")
@@ -112,7 +94,7 @@ def _positions_rows(sc: Scenario, config) -> list[tuple]:
 
 
 def _cmd_calibrate(sc: Scenario, out: Path):
-    trap = sc.calibration.trap()
+    trap = sc.trap
     species_rows = []
     for label, s in sc.species.items():
         freqs = frequencies_for_species(trap, s)
@@ -137,24 +119,20 @@ def _cmd_calibrate(sc: Scenario, out: Path):
 
 
 def _cmd_equilibrium(sc: Scenario, out: Path):
-    trap, primary = _solve(sc)
-    sclass = classify(primary, length_scale=_length_scale(sc))
+    primary = _solve(sc)
+    sclass = classify(primary, length_scale=_reference_length(sc.family))
     summary = [
-        ("energy_j", potential_energy(trap, primary)),
+        ("energy_j", potential_energy(sc.trap, primary)),
         ("kind", sclass.kind),
         ("plane", sclass.plane),
         ("order_parameter_um", sclass.order_parameter * 1e6),
         ("length_um", crystal_length(primary) * 1e6),
         ("seed", sc.seed),
     ]
-    positions = _positions_rows(sc, primary)
     tables = {
-        "positions": (_POSITION_HEADER, positions),
+        "positions": (_POSITION_HEADER, _positions_rows(sc, primary)),
         "equilibrium_summary": (("key", "value"), summary),
     }
-    if sc.equilibrium.both_branches:
-        mirror = _positions_rows(sc, _mirror(primary))
-        tables["positions_mirror"] = (_POSITION_HEADER, mirror)
     message = (
         f"{primary.n} ions, {sclass.kind}, "
         f"length {crystal_length(primary) * 1e6:.3f} um"
@@ -163,17 +141,15 @@ def _cmd_equilibrium(sc: Scenario, out: Path):
 
 
 def _cmd_modes(sc: Scenario, out: Path):
-    trap, config = _solve(sc)
-    modes = normal_modes(trap, config)
+    config = _solve(sc)
+    modes = normal_modes(sc.trap, config)
     boundary = sc.modes.boundary
     n = config.n
     mode_rows = []
     vec_rows = []
     for m in range(3 * n):
         desc = mode_descriptor(modes, m)
-        ratio = None
-        if boundary is not None and 0 < boundary < n - 1:
-            ratio = localization_ratio(desc, boundary)
+        ratio = None if boundary is None else localization_ratio(desc, boundary)
         mode_rows.append(
             (m, _khz(desc.frequency), desc.dominant_axis, bool(desc.soft), ratio)
             + tuple(desc.ion_amplitudes)
@@ -200,7 +176,7 @@ def _cmd_modes(sc: Scenario, out: Path):
 
 
 def _cmd_scan(sc: Scenario, out: Path):
-    family = sc.calibration.family()
+    family = sc.family
     arrangements = sc.scan.arrangements or {"ions": sc.ions}
     alphas = np.linspace(sc.scan.alpha_min, sc.scan.alpha_max, sc.scan.points)
     pm = scan_configurations(family, arrangements, alphas, seed=sc.seed)
@@ -234,8 +210,8 @@ def _cmd_scan(sc: Scenario, out: Path):
 
 
 def _cmd_response(sc: Scenario, out: Path):
-    trap, config = _solve(sc)
-    modes = normal_modes(trap, config)
+    config = _solve(sc)
+    modes = normal_modes(sc.trap, config)
     r = sc.response
     count = int(round((r.max_khz - r.min_khz) / r.step_khz)) + 1
     grid = (r.min_khz + r.step_khz * np.arange(count)) * _TWO_PI_KHZ
@@ -277,14 +253,14 @@ def _cmd_response(sc: Scenario, out: Path):
 
 
 def _cmd_render(sc: Scenario, out: Path):
-    trap, config = _solve(sc)
+    config = _solve(sc)
     pm = ProjectionModel()
     positions = project(config.positions, pm)
     bright = fluorescing(config)
     amps = None
     dirs = None
     if sc.render.mode is not None:
-        modes = normal_modes(trap, config)
+        modes = normal_modes(sc.trap, config)
         if sc.render.mode >= len(modes.frequencies):
             raise ScenarioError(
                 f"render.mode: index {sc.render.mode} out of range for "
@@ -299,16 +275,19 @@ def _cmd_render(sc: Scenario, out: Path):
             if norm > 0.0:
                 dirs[i] = vec / norm
     rng = np.random.default_rng(sc.seed) if sc.render.noise else None
-    image = render(
-        positions,
-        pm,
-        bright=bright,
-        amplitudes_um=amps,
-        directions=dirs,
-        flux=sc.render.flux,
-        background=sc.render.background,
-        rng=rng,
-    )
+    try:
+        image = render(
+            positions,
+            pm,
+            bright=bright,
+            amplitudes_um=amps,
+            directions=dirs,
+            flux=sc.render.flux,
+            background=sc.render.background,
+            rng=rng,
+        )
+    except ValueError as exc:  # e.g. a crystal too wide to image
+        raise ScenarioError(f"render: {exc}") from exc
     header = ("ion", "label", "bright", "u_um", "v_um")
     projection = [
         (i, label, bool(bright[i]), float(positions[i, 0]), float(positions[i, 1]))

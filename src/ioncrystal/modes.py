@@ -125,6 +125,19 @@ def modes_by_axis(modes: NormalModeSet, axis: str) -> list[int]:
     ]
 
 
+def _side_maxima(amplitudes: np.ndarray, boundary_index: int) -> tuple[float, float]:
+    """Largest amplitude before and after the boundary ion, which is excluded.
+
+    Raises BoundaryError unless 0 < boundary_index < N - 1.
+    """
+    n = len(amplitudes)
+    if not 0 < boundary_index < n - 1:
+        raise BoundaryError(
+            f"boundary index {boundary_index} leaves an empty side for {n} ions"
+        )
+    return amplitudes[:boundary_index].max(), amplitudes[boundary_index + 1 :].max()
+
+
 def localization_ratio(desc: ModeDescriptor, boundary_index: int) -> float:
     """How unevenly a mode's amplitude splits across a boundary ion.
 
@@ -132,14 +145,7 @@ def localization_ratio(desc: ModeDescriptor, boundary_index: int) -> float:
     boundary_index; the boundary ion itself is excluded. Returns the
     ratio of the larger side maximum amplitude to the smaller, >= 1.
     """
-    n = len(desc.ion_amplitudes)
-    if not 0 < boundary_index < n - 1:
-        raise BoundaryError(
-            f"boundary index {boundary_index} leaves an empty side for {n} ions"
-        )
-    left = desc.ion_amplitudes[:boundary_index].max()
-    right = desc.ion_amplitudes[boundary_index + 1 :].max()
-    lo, hi = sorted((left, right))
+    lo, hi = sorted(_side_maxima(desc.ion_amplitudes, boundary_index))
     if lo == 0.0:
         return np.inf
     return float(hi / lo)
@@ -155,8 +161,8 @@ def impurity_amplitude_ratio(desc: ModeDescriptor, index: int) -> float:
 
 
 def _side(desc: ModeDescriptor, boundary_index: int) -> str:
-    left = desc.ion_amplitudes[:boundary_index].max()
-    right = desc.ion_amplitudes[boundary_index + 1 :].max()
+    # a mode with both side maxima 0 goes to the left only
+    left, right = _side_maxima(desc.ion_amplitudes, boundary_index)
     if left >= _SHARED_RATIO * right:
         return "left"
     if right >= _SHARED_RATIO * left:
@@ -182,11 +188,6 @@ def min_same_side_gap(
     if boundary_index is None:
         groups = {"all": selected}
     else:
-        n = modes.n
-        if not 0 < boundary_index < n - 1:
-            raise BoundaryError(
-                f"boundary index {boundary_index} leaves an empty side for {n} ions"
-            )
         groups = {"left": [], "right": []}
         for m in selected:
             side = _side(mode_descriptor(modes, m), boundary_index)

@@ -12,14 +12,19 @@ Minimal example:
     ions: [ca, ca2, ca]
     seed: 1
 
-Optional sections (equilibrium, modes, scan, response, render) carry the
-per-task parameters. Each section is a params dataclass below and each
-of its fields one key: the field's default is the key's default, and the
-check and bounds given to _key are what a value of the key must pass. A
+parse_scenario calibrates the trap once: a Scenario carries the
+calibrated trap and the anisotropy family the scan varies, and a trap
+that cannot be built is a ScenarioError naming `trap`.
+
+Optional sections (modes, scan, response, render) carry the per-task
+parameters. Each section is a params dataclass below and each of its
+fields one key: the field's default is the key's default, and the check
+and bounds given to _key are what a value of the key must pass. A
 missing key takes its default; null is a value only where the default is
 None. parse_scenario adds the checks that span keys: modes.boundary
-against the ion count, alpha_max above alpha_min, max_khz above min_khz,
-the response sweep size, and the species of each scan arrangement.
+within [1, N-2] for N ions, alpha_max above alpha_min, max_khz above
+min_khz, the response sweep size, and the species of each scan
+arrangement.
 """
 
 from __future__ import annotations
@@ -33,7 +38,13 @@ import yaml
 
 from .errors import CalibrationError, ScenarioError
 from .modes import _AXES
-from .transitions import _ALPHA_MAX, _ALPHA_MIN, _METHODS, AnisotropyFamily
+from .transitions import (
+    _ALPHA_MAX,
+    _ALPHA_MIN,
+    _METHODS,
+    _PROBE_SPACING,
+    AnisotropyFamily,
+)
 from .trap import IonSpecies, SpeciesFrequencies, TrapModel, calibrate_from_frequencies
 
 # Largest scan grid and response sweep, (max_khz - min_khz) / step_khz + 1
@@ -42,9 +53,6 @@ _MAX_GRID_POINTS = 1_000_000
 # Largest render.flux and render.background (photons): a noisy image's
 # pixel means then stay many orders below numpy's Poisson limit (~9.2e18).
 _MAX_PHOTONS = 1e12
-# Largest equilibrium.restarts: each restart is one more cold descent,
-# up to ~2 s for 96 ions; the checked-in scenarios use the default 1.
-_MAX_RESTARTS = 1000
 # Largest render.amplitude_um: the smeared spots then add at most ~1600
 # pixels along each image axis, far inside imaging's 1e7-pixel cap.
 _MAX_AMPLITUDE_UM = 50.0
@@ -117,32 +125,9 @@ def _key(default, check, **bounds):
 
 
 @dataclass(frozen=True)
-class Calibration:
-    reference: IonSpecies
-    frequencies: SpeciesFrequencies
-    rf_frequency: float
-
-    def trap(self) -> TrapModel:
-        return calibrate_from_frequencies(
-            self.reference, self.frequencies, self.rf_frequency
-        )
-
-    def family(self) -> AnisotropyFamily:
-        return AnisotropyFamily.from_calibration(
-            self.reference, self.frequencies, self.rf_frequency
-        )
-
-
-@dataclass(frozen=True)
-class EquilibriumParams:
-    restarts: int = _key(1, _integer, minimum=1, maximum=_MAX_RESTARTS)
-    both_branches: bool = _key(False, _flag)
-
-
-@dataclass(frozen=True)
 class ModesParams:
     axis: str = _key("x", _choice, choices=_AXES)
-    boundary: int | None = _key(None, _integer, minimum=0)
+    boundary: int | None = _key(None, _integer, minimum=1)
 
 
 @dataclass(frozen=True)
@@ -182,11 +167,11 @@ class RenderParams:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    calibration: Calibration
+    trap: TrapModel
+    family: AnisotropyFamily
     species: dict[str, IonSpecies]
     ion_labels: tuple[str, ...]
     seed: int
-    equilibrium: EquilibriumParams
     modes: ModesParams
     scan: ScanParams
     response: ResponseParams
@@ -199,7 +184,6 @@ class Scenario:
 
 # The optional sections: each document key and its params dataclass.
 _SECTIONS = {
-    "equilibrium": EquilibriumParams,
     "modes": ModesParams,
     "scan": ScanParams,
     "response": ResponseParams,
@@ -275,7 +259,19 @@ def parse_scenario(path) -> Scenario:
     except CalibrationError as exc:
         raise ScenarioError(f"trap.frequencies_khz: {exc}") from exc
     rf = _number(_require(trap_node, "rf_mhz", "trap"), "trap.rf_mhz", minimum=0.0)
-    calibration = Calibration(ref, freqs, 2.0 * math.pi * 1e6 * rf)
+    try:
+        trap = calibrate_from_frequencies(ref, freqs, 2.0 * math.pi * 1e6 * rf)
+        family = AnisotropyFamily(
+            reference=ref,
+            axial_curvature=trap.axial_curvature,
+            radial_curvature=trap.radial_curvature,
+            rf_frequency=trap.rf_frequency,
+        )
+        # the smallest alpha any scan or probe reaches: the rf gradient only
+        # grows as alpha falls, so every trap a command builds is then finite
+        family.trap_at(_ALPHA_MIN - _PROBE_SPACING / 2)
+    except (ValueError, OverflowError) as exc:
+        raise ScenarioError(f"trap: cannot build the trap: {exc}") from exc
 
     species_node = _require(doc, "species", path.name)
     if not isinstance(species_node, dict) or not species_node:
@@ -292,9 +288,10 @@ def parse_scenario(path) -> Scenario:
     sections = {key: _section(doc, key, params) for key, params in _SECTIONS.items()}
 
     boundary = sections["modes"].boundary
-    if boundary is not None and boundary >= len(ion_labels):
+    if boundary is not None and boundary > len(ion_labels) - 2:
         raise ScenarioError(
-            f"modes.boundary: index {boundary} out of range for {len(ion_labels)} ions"
+            f"modes.boundary: index {boundary} leaves an empty side for "
+            f"{len(ion_labels)} ions; it must lie in [1, N-2]"
         )
 
     scan = sections["scan"]
@@ -320,7 +317,8 @@ def parse_scenario(path) -> Scenario:
 
     return Scenario(
         name=path.stem,
-        calibration=calibration,
+        trap=trap,
+        family=family,
         species=species,
         ion_labels=ion_labels,
         seed=seed,

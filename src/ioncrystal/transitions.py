@@ -145,33 +145,6 @@ class PhaseMap:
 
     points: tuple[PhasePoint, ...]
 
-    def labels(self) -> list[str]:
-        seen: list[str] = []
-        for p in self.points:
-            if p.label not in seen:
-                seen.append(p.label)
-        return seen
-
-    def for_label(self, label: str) -> list[PhasePoint]:
-        return sorted(
-            (p for p in self.points if p.label == label), key=lambda p: p.alpha_x
-        )
-
-    def validate_monotone(self) -> None:
-        """A chain that has left the linear phase must not re-enter it."""
-        for label in self.labels():
-            left_linear = False
-            for p in self.for_label(label):
-                if p.structure is None:
-                    continue
-                if p.structure.kind != "linear":
-                    left_linear = True
-                elif left_linear:
-                    raise ValueError(
-                        f"non-monotone phase boundary for '{label}' "
-                        f"at alpha_x = {p.alpha_x}"
-                    )
-
 
 def _reference_length(family: AnisotropyFamily) -> float:
     """Length scale for classify: the reference species' at alpha_x = 1."""
@@ -282,8 +255,8 @@ def scan_configurations(
     the first grid point is solved cold (from `seed`), every later one
     starts from the previous minimum (find_equilibrium's initial=). A
     solver failure is recorded at its grid point instead of aborting the
-    scan, and the next point is solved cold again. The resulting map is
-    checked for a monotone phase boundary.
+    scan, and the next point is solved cold again. A chain that has left
+    the linear phase must not re-enter it (ValueError).
     """
     alphas = sorted(float(a) for a in alphas)
     ell = _reference_length(family)
@@ -291,6 +264,7 @@ def scan_configurations(
     for label, ions in arrangements.items():
         ions = tuple(ions)
         previous = None
+        left_linear = False
         for a in alphas:
             alpha_y = family.alpha_y_at(a)
             try:
@@ -298,12 +272,17 @@ def scan_configurations(
                     family.trap_at(a), ions, seed=seed, initial=previous
                 )
                 sc = classify(cfg, length_scale=ell)
-                points.append(PhasePoint(a, alpha_y, label, sc))
-                previous = cfg.positions
             except SolverError as exc:
                 points.append(PhasePoint(a, alpha_y, label, None, str(exc)))
                 previous = None
-    pm = PhaseMap(tuple(points))
-    pm.validate_monotone()
-    return pm
+                continue
+            if sc.kind != "linear":
+                left_linear = True
+            elif left_linear:
+                raise ValueError(
+                    f"non-monotone phase boundary for '{label}' at alpha_x = {a}"
+                )
+            points.append(PhasePoint(a, alpha_y, label, sc))
+            previous = cfg.positions
+    return PhaseMap(tuple(points))
 

@@ -164,13 +164,10 @@ def calibrate_from_frequencies(
         gamma    = (M Omega / q) sqrt(omega_x^2 + omega_y^2 + omega_z^2) / 2
 
     so frequencies_for_species on the result reproduces the inputs to
-    rounding error.
+    rounding error. A trap that TrapModel rejects, such as one with a
+    non-positive rf_frequency, is a ValueError.
     """
-    if not rf_frequency > 0.0:
-        raise ValueError("rf_frequency must be positive")
     wx, wy, wz = frequencies.as_tuple()
-    if wx > wy:
-        raise CalibrationError("omega_x exceeds omega_y; swap the transverse axes")
     q = reference.charge
     m = reference.mass
     beta = m * wz**2 / (4.0 * q)

@@ -10,7 +10,7 @@ import pytest
 import yaml
 
 import ioncrystal as ic
-from ioncrystal.cli import main
+from ioncrystal.cli import _COMMANDS, main
 from ioncrystal.scenario import _SECTIONS, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -66,12 +66,17 @@ def test_parse_minimal_scenario(scenario_file):
     sc = parse_scenario(scenario_file())
     assert sc.name == "case"
     assert [s.charge_number for s in sc.ions] == [1, 2, 1]
-    assert sc.calibration.frequencies.to_khz() == pytest.approx((480.0, 630.0, 119.0))
-    assert sc.calibration.rf_frequency == pytest.approx(2.0 * math.pi * 10.66e6)
+    ca = ic.IonSpecies(1, 40.0)
+    freqs = ic.frequencies_for_species(sc.trap, ca).to_khz()
+    assert freqs == pytest.approx((480.0, 630.0, 119.0), rel=1e-12)
+    assert sc.trap.rf_frequency == pytest.approx(2.0 * math.pi * 10.66e6)
+    # the family passes through the calibrated trap at the scenario's alpha
+    alpha = (119.0 / 480.0) ** 2
+    assert sc.family.frequencies_at(alpha).to_khz() == pytest.approx(freqs, rel=1e-12)
     assert sc.seed == 1
     assert sc.render.noise and sc.render.background == 2.0
     # unspecified sections come back with defaults
-    assert sc.equilibrium.restarts == 1
+    assert sc.modes.boundary is None
     assert sc.scan.method == "both"
 
 
@@ -94,8 +99,6 @@ def test_error_messages_carry_field_paths(scenario_file):
             "trap.frequencies_khz",
         ),
         # flags must be YAML booleans, not strings or lists
-        ("seed: 1", 'seed: 1\nequilibrium: {both_branches: "false"}',
-         "equilibrium.both_branches"),
         ("seed: 1", 'seed: 1\nscan: {critical: "no"}', "scan.critical"),
         ("  noise: true", "  noise: [1]", "render.noise"),
         # species labels must be strings
@@ -145,15 +148,9 @@ def test_error_messages_carry_field_paths(scenario_file):
          "render.amplitude_um"),
         ("render", "render:\n", "render:\n  mode: 0\n  amplitude_um: 1.0e+300\n",
          "render.amplitude_um"),
-        # one cold descent per restart
-        ("equilibrium", "seed: 1", "seed: 1\nequilibrium: {restarts: 1000000000000}",
-         "equilibrium.restarts"),
-        ("equilibrium", "seed: 1", "seed: 1\nequilibrium: {restarts: 1001}",
-         "equilibrium.restarts"),
     ],
     ids=["scan-alpha-max-inf", "response-step-1e-300", "scan-points-1e12",
-         "scan-alpha-min-1e-300", "render-amplitude-1e6", "render-amplitude-1e300",
-         "equilibrium-restarts-1e12", "equilibrium-restarts-1001"],
+         "scan-alpha-min-1e-300", "render-amplitude-1e6", "render-amplitude-1e300"],
 )
 def test_non_finite_and_oversized_inputs_exit_2(tmp_path, scenario_file, capsys,
                                                 command, old, new, needle):
@@ -192,6 +189,33 @@ def test_hostile_values_fail_only_as_scenario_errors(tmp_path):
         assert code in (0, 2), doc[key]
 
 
+# Trap and species values that parse but used to end some command in a
+# traceback (exit 1): a calibration that overflows or underflows, an rf
+# gradient that overflows inside the scanned alpha range, and crystals
+# too wide to image.
+HOSTILE_TRAPS = {
+    "frequencies-1e300": [("[480.0, 630.0, 119.0]", "[1.0e+300, 1.0e+300, 1.0e+300]")],
+    "axial-1e-300": [("[480.0, 630.0, 119.0]", "[480.0, 630.0, 1.0e-300]")],
+    "frequencies-1e150": [("[480.0, 630.0, 119.0]", "[1.0e+150, 1.0e+150, 1.0e+150]")],
+    "rf-1e307": [("rf_mhz: 10.66", "rf_mhz: 1.0e+307")],
+    "axial-0.01-two-ions": [("[480.0, 630.0, 119.0]", "[480.0, 630.0, 0.01]"),
+                            ("ions: [ca, ca2, ca]", "ions: [ca, ca]")],
+    "charge-1e6": [("ca2: {charge: 2, mass_amu: 40.0}",
+                    "ca2: {charge: 1000000, mass_amu: 40.0}")],
+}
+
+
+@pytest.mark.parametrize("edits", HOSTILE_TRAPS.values(), ids=HOSTILE_TRAPS)
+def test_hostile_traps_and_species_fail_only_with_exit_codes(tmp_path, scenario_file, edits):
+    text = MINIMAL
+    for old, new in edits:
+        text = text.replace(old, new)
+    path = scenario_file(text)
+    for command in _COMMANDS:
+        code = main([command, "--scenario", str(path), "--out", str(tmp_path / command)])
+        assert code in (0, 2, 3, 4), command
+
+
 def test_sweep_size_bound(scenario_file):
     # 700 kHz in steps of 1 Hz is within the million points, half that step is not
     text = MINIMAL.replace("step_khz: 0.2", "step_khz: 0.001")
@@ -201,16 +225,23 @@ def test_sweep_size_bound(scenario_file):
 
 
 def test_unknown_top_level_key(scenario_file):
-    with pytest.raises(ic.ScenarioError) as err:
-        parse_scenario(scenario_file(MINIMAL + "\nbogus: 1\n"))
-    assert "unknown key 'bogus'" in str(err.value)
+    for extra, key in (("bogus: 1", "bogus"), ("equilibrium: {restarts: 1}", "equilibrium")):
+        with pytest.raises(ic.ScenarioError) as err:
+            parse_scenario(scenario_file(MINIMAL + f"\n{extra}\n"))
+        assert f"unknown key '{key}'" in str(err.value)
 
 
 def test_boundary_out_of_range(scenario_file):
-    text = MINIMAL.replace("  axis: x\nresponse", "  axis: x\n  boundary: 9\nresponse")
-    with pytest.raises(ic.ScenarioError) as err:
-        parse_scenario(scenario_file(text))
-    assert "modes.boundary" in str(err.value)
+    # a boundary must leave an ion on each side: [1, N-2] for N = 3 ions
+    # (0 and 2 used to parse and leave every localization cell empty)
+    for boundary in (9, 2, 0):
+        text = MINIMAL.replace("  axis: x\nresponse",
+                               f"  axis: x\n  boundary: {boundary}\nresponse")
+        with pytest.raises(ic.ScenarioError) as err:
+            parse_scenario(scenario_file(text))
+        assert "modes.boundary" in str(err.value)
+    text = MINIMAL.replace("  axis: x\nresponse", "  axis: x\n  boundary: 1\nresponse")
+    assert parse_scenario(scenario_file(text)).modes.boundary == 1
 
 
 def test_invalid_yaml_reports_location(scenario_file):
@@ -299,7 +330,7 @@ def test_cli_modes_match_benchmark_spectrum(tmp_path):
     assert 40.0 < float(summary["min_same_side_gap_khz"]) < 50.0
     # the relaxed crystal is the exact linear chain up to round-off
     sc = parse_scenario(scenario)
-    trap = sc.calibration.trap()
+    trap = sc.trap
     chain = np.zeros((len(sc.ions), 3))
     chain[:, 2] = ic.axial_equilibrium(trap, sc.ions)
     modes = ic.normal_modes(trap, ic.CrystalConfiguration(sc.ions, chain))
@@ -370,7 +401,7 @@ def test_cli_render_round_trip(tmp_path):
 
 EMITTED = {
     "calibrate": {"trap.csv", "species.csv"},
-    "equilibrium": {"positions.csv", "positions_mirror.csv", "equilibrium_summary.csv"},
+    "equilibrium": {"positions.csv", "equilibrium_summary.csv"},
     "modes": {"modes.csv", "eigenvectors.csv", "modes_summary.csv"},
     "scan": {"phase_map.csv", "critical.csv"},
     "response": {"response.csv", "peaks.csv"},
@@ -381,7 +412,7 @@ EMITTED = {
 @pytest.mark.parametrize("critical", [True, False])
 def test_cli_writes_exactly_its_files(tmp_path, scenario_file, critical):
     text = MINIMAL.replace("seed: 1", (
-        "seed: 1\nequilibrium: {both_branches: true}\n"
+        "seed: 1\n"
         f"scan: {{alpha_min: 0.3, alpha_max: 0.5, points: 3, "
         f"critical: {str(critical).lower()}}}"
     ))
@@ -395,10 +426,7 @@ def test_cli_writes_exactly_its_files(tmp_path, scenario_file, critical):
     if critical:
         assert len(_csv_rows(tmp_path / "scan" / "critical.csv")) == 1
     assert len(_csv_rows(tmp_path / "scan" / "phase_map.csv")) == 3
-    primary = _positions(tmp_path / "equilibrium" / "positions.csv")
-    mirror = _positions(tmp_path / "equilibrium" / "positions_mirror.csv")
-    assert len(primary) == len(mirror) == 3
-    assert np.array_equal(mirror[:, 0], -primary[:, 0])
+    assert len(_positions(tmp_path / "equilibrium" / "positions.csv")) == 3
     modes = _csv_rows(tmp_path / "modes" / "modes.csv")
     assert len(modes) == 9
     assert {r["soft"] for r in modes} <= {"true", "false"}
@@ -407,11 +435,16 @@ def test_cli_writes_exactly_its_files(tmp_path, scenario_file, critical):
     assert summary["axis"] == "x"
 
 
-def test_golden_compare_reports_column_changes(tmp_path, capsys):
+def _golden_script():
     path = SCENARIOS.parent / "scripts" / "cli_golden.py"
     spec = importlib.util.spec_from_file_location("cli_golden", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_golden_compare_reports_column_changes(tmp_path, capsys):
+    script = _golden_script()
     parent, change = tmp_path / "parent", tmp_path / "change"
     for root, center, label, zero in (
         (parent, "480.0", "a", "0.0"), (change, "480.0000001", "b", "-0.0")
@@ -434,37 +467,15 @@ def test_golden_compare_reports_column_changes(tmp_path, capsys):
     assert not any(line.lstrip().startswith("n_points") for line in lines)
 
 
-def test_mirror_is_the_reflection_of_the_primary(tmp_path, family, ca, ca2):
-    # 12 ions with a central Ca2+ at 6 alpha*: with restarts the primary
-    # comes from another start than the first, whose reflected re-solve
-    # used to give a higher minimum of another kind
-    ions = [ca] * 6 + [ca2] + [ca] * 5
-    alpha = 6.0 * ic.critical_anisotropy(family, ions, method="soft-mode").alpha_x
-    fx, fy, fz = family.frequencies_at(alpha).to_khz()
-    text = MINIMAL.replace("[480.0, 630.0, 119.0]", f"[{fx!r}, {fy!r}, {fz!r}]").replace(
-        "ions: [ca, ca2, ca]", "ions: [ca, ca, ca, ca, ca, ca, ca2, ca, ca, ca, ca, ca]"
-    ).replace("seed: 1", "seed: 1\nequilibrium: {restarts: 3, both_branches: true}")
-    path = tmp_path / "mirror.yaml"
-    path.write_text(text)
-    assert main(["equilibrium", "--scenario", str(path), "--out", str(tmp_path)]) == 0
-    primary = _positions(tmp_path / "positions.csv")
-    mirror = _positions(tmp_path / "positions_mirror.csv")
-    assert np.array_equal(mirror, primary * [-1.0, 1.0, 1.0])
+def test_single_ion_mirror_stays_at_plus_zero(scenario_file):
+    # the golden script's mirror branch reflects x as 0.0 - x, so an ion
+    # on the axis keeps +0.0 and the position bytes stay comparable
+    script = _golden_script()
+    path = scenario_file(MINIMAL.replace("ions: [ca, ca2, ca]", "ions: [ca]"))
     sc = parse_scenario(path)
-    trap = sc.calibration.trap()
-    configs = [ic.CrystalConfiguration(sc.ions, p * 1e-6) for p in (primary, mirror)]
-    energies = [ic.potential_energy(trap, c) for c in configs]
-    assert energies[1] == pytest.approx(energies[0], rel=1e-12)
-    assert ic.classify(configs[0]).kind == ic.classify(configs[1]).kind
-
-
-def test_single_ion_mirror_stays_at_plus_zero(tmp_path, scenario_file):
-    path = scenario_file(MINIMAL.replace("ions: [ca, ca2, ca]", "ions: [ca]").replace(
-        "seed: 1", "seed: 1\nequilibrium: {both_branches: true}"))
-    assert main(["equilibrium", "--scenario", str(path), "--out", str(tmp_path)]) == 0
-    for name in ("positions.csv", "positions_mirror.csv"):
-        row = _csv_rows(tmp_path / name)[0]
-        assert (row["x_um"], row["y_um"], row["z_um"]) == ("0.0", "0.0", "0.0")
+    config = ic.find_equilibrium(sc.trap, sc.ions, seed=sc.seed)
+    for found in (config, script._mirror(config)):
+        assert found.positions.tobytes() == np.zeros(3).tobytes()
 
 
 @pytest.mark.parametrize("field", ["flux", "background"])

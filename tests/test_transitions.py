@@ -107,20 +107,17 @@ def test_three_regimes(family, ca, ca2):
     assert kinds[("pure", 0.45)] == "zigzag"
     assert kinds[("outer", 0.45)] == "zigzag"
     assert kinds[("central", 0.45)] == "linear"
-    assert set(pm.labels()) == set(arrangements)
+    assert {p.label for p in pm.points} == set(arrangements)
 
 
-def test_monotone_phase_boundary_guard():
-    zig = ic.StructureClass("zigzag", "xz", 1e-6)
-    lin = ic.StructureClass("linear", None, 0.0)
-    bad = ic.PhaseMap(
-        (
-            ic.PhasePoint(0.3, 0.2, "chain", zig),
-            ic.PhasePoint(0.4, 0.25, "chain", lin),
-        )
-    )
-    with pytest.raises(ValueError):
-        bad.validate_monotone()
+def test_monotone_phase_boundary_guard(family, ca, monkeypatch):
+    # a chain classified zigzag and then linear as alpha grows re-enters
+    # the linear phase: the scan refuses the map it would build
+    kinds = iter([ic.StructureClass("zigzag", "xz", 1e-6),
+                  ic.StructureClass("linear", None, 0.0)])
+    monkeypatch.setattr(transitions, "classify", lambda cfg, length_scale: next(kinds))
+    with pytest.raises(ValueError, match="non-monotone phase boundary for 'chain'"):
+        ic.scan_configurations(family, {"chain": [ca, ca]}, [0.3, 0.4])
 
 
 def test_scan_records_solver_failures(family, ca):
@@ -128,12 +125,10 @@ def test_scan_records_solver_failures(family, ca):
     pm = ic.scan_configurations(
         family, {"ok": [ca, ca], "heavy": [heavy, heavy]}, [0.3, 0.4]
     )
-    for p in pm.for_label("heavy"):
-        assert p.structure is None
-        assert p.error
-    for p in pm.for_label("ok"):
-        assert p.structure is not None
-        assert p.error is None
+    assert [p.label for p in pm.points] == ["ok", "ok", "heavy", "heavy"]
+    for p in pm.points:
+        assert (p.structure is None) == (p.label == "heavy")
+        assert bool(p.error) == (p.label == "heavy")
 
 
 def test_configuration_stability(family, ca, ca2, linear_chain):
@@ -225,7 +220,8 @@ def test_continuation_scan_matches_cold_solves(family, ca, ca2):
     for arrangements, alphas in scans:
         pm = ic.scan_configurations(family, arrangements, alphas)
         for label, ions in arrangements.items():
-            points = pm.for_label(label)
+            # each arrangement's points, in the ascending alpha they were solved
+            points = [p for p in pm.points if p.label == label]
             previous = None
             for p in points:
                 trap = family.trap_at(p.alpha_x)

@@ -31,6 +31,13 @@ def test_degenerate_radial_calibration(ca):
     assert trap.radial_curvature == 0.0
 
 
+def test_non_positive_rf_frequency_rejected(ca, ref_freqs):
+    # the check lives in TrapModel; calibration builds one and so raises it
+    for rf in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^rf_frequency must be positive$"):
+            ic.calibrate_from_frequencies(ca, ref_freqs, rf)
+
+
 def test_swapped_transverse_frequencies_rejected():
     with pytest.raises(ic.CalibrationError):
         ic.SpeciesFrequencies.from_khz(630.0, 480.0, 119.0)
