@@ -8,11 +8,11 @@ There is one run per command and scenario, written into
 DIR/<scenario>/<command>/. Its exit code and its stdout and stderr,
 with the output directory replaced by "<out>", go to DIR/runs.txt, one
 block per run. DIR/minima.csv
-fingerprints the minimum selection, which no scenario reaches with
-restarts or the mirror branch: every case of tests/data/minima_grid.json
-solved at seed 0 with restarts=1 (the primary and its mirror, the x
-reflection of the primary) and restarts=3, one row each with its energy,
-classify kind (or the error's name) and the SHA-1 of the position bytes.
+fingerprints the minimum selection on more arrangements than the
+scenarios reach: every case of tests/data/minima_grid.json solved at
+seed 0, with one row each for the primary and its mirror (the x
+reflection of the primary), holding its energy, classify kind (or the
+error's name) and the SHA-1 of the position bytes.
 A change that does not touch the numerics must leave every file of two
 such trees byte-identical.
 --compare reports, for every CSV that differs, the largest relative and
@@ -33,8 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GRID = ROOT / "tests" / "data" / "minima_grid.json"
-MINIMA_COLUMNS = ("charges", "alpha", "restarts", "branch", "energy_j", "kind",
-                  "positions_sha1")
+MINIMA_COLUMNS = ("charges", "alpha", "branch", "energy_j", "kind", "positions_sha1")
 
 
 def run_all(out: Path) -> list[str]:
@@ -63,7 +62,7 @@ def _mirror(config):
 
 
 def minima_rows() -> list[tuple]:
-    """One minima.csv row per grid case and selection path (see the module doc)."""
+    """Two minima.csv rows per grid case, or one on an error (see the module doc)."""
     import ioncrystal as ic
 
     ca = ic.IonSpecies(1, 40.0)
@@ -75,20 +74,18 @@ def minima_rows() -> list[tuple]:
     for case in json.loads(GRID.read_text())["cases"]:
         trap = family.trap_at(case["alpha"])
         ions = [species[q] for q in case["charges"]]
-        for restarts in (1, 3):
-            key = (" ".join(map(str, case["charges"])), repr(case["alpha"]), restarts)
-            try:
-                found = ic.find_equilibrium(trap, ions, seed=0, restarts=restarts)
-            except ic.IonCrystalError as exc:
-                rows.append(key + ("", "", type(exc).__name__, ""))
-                continue
-            configs = (found, _mirror(found)) if restarts == 1 else (found,)
-            for branch, config in zip(("primary", "mirror"), configs):
-                rows.append(key + (
-                    branch, repr(ic.potential_energy(trap, config)),
-                    ic.classify(config).kind,
-                    hashlib.sha1(config.positions.tobytes()).hexdigest(),
-                ))
+        key = (" ".join(map(str, case["charges"])), repr(case["alpha"]))
+        try:
+            found = ic.find_equilibrium(trap, ions, seed=0)
+        except ic.IonCrystalError as exc:
+            rows.append(key + ("", "", type(exc).__name__, ""))
+            continue
+        for branch, config in (("primary", found), ("mirror", _mirror(found))):
+            rows.append(key + (
+                branch, repr(ic.potential_energy(trap, config)),
+                ic.classify(config).kind,
+                hashlib.sha1(config.positions.tobytes()).hexdigest(),
+            ))
     return rows
 
 

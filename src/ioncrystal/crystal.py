@@ -26,7 +26,7 @@ shrinks by ~1e-14; left alone they reach the subnormal range (below
 `find_equilibrium` runs the loop on all three axes, from the linear
 chain with small transverse offsets or from given positions. Deep in the
 buckled phase several minima compete, so it selects among candidates:
-the descent from each start and, for crystals of up to _BRANCH_MAX_IONS
+the descent from the start and, for crystals of up to _BRANCH_MAX_IONS
 ions, the descents from the same start whose first push follows the
 next of the lowest _BRANCHES unstable modes. The lowest minimum wins,
 the earliest candidate on a tie. The potential is even in x, so the
@@ -510,29 +510,25 @@ def find_equilibrium(
     ions: Sequence[IonSpecies],
     *,
     seed: int = 0,
-    restarts: int = 1,
     initial: np.ndarray | None = None,
 ) -> CrystalConfiguration:
     """Relax the ions to a stable minimum of the potential.
 
     The start is the linear chain of axial_equilibrium with
     deterministic pseudo-random transverse offsets of size _PERTURBATION
-    (metres) drawn from `seed`; restarts > 1 adds further starts with
-    fresh offsets, each drawn from the same generator as its descent
-    begins. The descent loop (see the module docstring) runs from
-    every start and, for at most _BRANCH_MAX_IONS ions, again from the
-    same start along each of the next unstable modes at its first push,
-    up to _BRANCHES in all; a branch that fails is dropped. Of this one
-    candidate list the lowest-energy minimum wins, and on a tie within
-    1e-12 (relative) the earliest: so more restarts change the result
-    only when they reach a strictly lower minimum.
+    (metres) drawn from `seed`. The descent loop (see the module
+    docstring) runs from it and, for at most _BRANCH_MAX_IONS ions, again
+    from the same start along each of the next unstable modes at its
+    first push, up to _BRANCHES in all; a branch that fails is dropped.
+    Of this one candidate list the lowest-energy minimum wins, and on a
+    tie within 1e-12 (relative) the earliest: so a branch changes the
+    result only when it reaches a strictly lower minimum.
 
     initial, positions in metres of shape (N, 3), replaces the seed
     chain: the same loop starts from it. This is the warm start of a
     continuation, e.g. the minimum at a neighbouring trap setting; seed
     is then unused, and the mode branches are followed from it as from a
-    cold start. It selects a single start, so it cannot be combined with
-    restarts > 1 (ValueError). It is checked like the positions of a
+    cold start. It is checked like the positions of a
     CrystalConfiguration (ValueError, CoincidentIonsError).
 
     Raises TrapInstabilityError for an unconfined species,
@@ -543,12 +539,8 @@ def find_equilibrium(
     """
     ions = tuple(ions)
     n = len(ions)
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
     if initial is not None:
         initial = CrystalConfiguration(ions, initial).positions
-        if restarts > 1:
-            raise ValueError("initial selects a single start; it excludes restarts > 1")
     for s in set(ions):
         frequencies_for_species(trap, s)
 
@@ -557,23 +549,19 @@ def find_equilibrium(
     masses, charges, w2, scale = _arrays(trap, ions)
     if initial is None:
         z = axial_equilibrium(trap, ions)
-        rng = np.random.default_rng(seed)
-        # drawn one at a time, as the descents reach them
-        starts = (_cold_start(trap, ions, z, rng) for _ in range(restarts))
-    else:
-        starts = (initial,)
+        initial = _cold_start(trap, ions, z, np.random.default_rng(seed))
+    start = initial / scale
 
     def candidates():
-        """(u, energy) of the minima from each start, then from its mode
-        branches, in order."""
-        for start in starts:
-            u, e, forks = _relax(start / scale, masses, charges, w2, scale)
-            yield u, e
-            for k in range(1, min(forks, _BRANCHES) if n <= _BRANCH_MAX_IONS else 1):
-                try:
-                    yield _relax(start / scale, masses, charges, w2, scale, first_mode=k)[:2]
-                except SolverError:
-                    pass
+        """(u, energy) of the minimum from the start, then of those from
+        its mode branches, in order."""
+        u, e, forks = _relax(start, masses, charges, w2, scale)
+        yield u, e
+        for k in range(1, min(forks, _BRANCHES) if n <= _BRANCH_MAX_IONS else 1):
+            try:
+                yield _relax(start, masses, charges, w2, scale, first_mode=k)[:2]
+            except SolverError:
+                pass
 
     # the lowest candidate minimum; the earliest within 1e-12 relative
     best = None

@@ -14,7 +14,9 @@ Minimal example:
 
 parse_scenario calibrates the trap once: a Scenario carries the
 calibrated trap and the anisotropy family the scan varies, and a trap
-that cannot be built is a ScenarioError naming `trap`.
+that cannot be built is a ScenarioError naming `trap`. So is a species
+whose secular frequencies leave the float range in that trap, naming
+`species.<label>`.
 
 Optional sections (modes, scan, response, render) carry the per-task
 parameters. Each section is a params dataclass below and each of its
@@ -45,7 +47,13 @@ from .transitions import (
     _PROBE_SPACING,
     AnisotropyFamily,
 )
-from .trap import IonSpecies, SpeciesFrequencies, TrapModel, calibrate_from_frequencies
+from .trap import (
+    IonSpecies,
+    SpeciesFrequencies,
+    TrapModel,
+    _squared_secular,
+    calibrate_from_frequencies,
+)
 
 # Largest scan grid and response sweep, (max_khz - min_khz) / step_khz + 1
 # points; the checked-in scenarios use at most 5501.
@@ -269,7 +277,7 @@ def parse_scenario(path) -> Scenario:
         )
         # the smallest alpha any scan or probe reaches: the rf gradient only
         # grows as alpha falls, so every trap a command builds is then finite
-        family.trap_at(_ALPHA_MIN - _PROBE_SPACING / 2)
+        steepest = family.trap_at(_ALPHA_MIN - _PROBE_SPACING / 2)
     except (ValueError, OverflowError) as exc:
         raise ScenarioError(f"trap: cannot build the trap: {exc}") from exc
 
@@ -280,6 +288,18 @@ def parse_scenario(path) -> Scenario:
         str(label): _species(node, f"species.{label}")
         for label, node in species_node.items()
     }
+    for label, s in species.items():
+        # each species' curvatures in the steepest trap: every trap a command
+        # builds then gives it finite curvatures too
+        try:
+            finite = all(map(math.isfinite, _squared_secular(steepest, s)))
+        except (ZeroDivisionError, OverflowError):  # a mass of 0 kg after underflow, say
+            finite = False
+        if not finite:
+            raise ScenarioError(
+                f"species.{label}: q={s.charge_number} m={s.mass_amu} amu has secular "
+                "frequencies beyond the float range in this trap"
+            )
 
     ion_labels = _labels(_require(doc, "ions", path.name), species, "ions")
 

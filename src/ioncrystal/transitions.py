@@ -41,7 +41,12 @@ from .crystal import (
     find_equilibrium,
     hessian,
 )
-from .errors import BracketError, MethodDisagreementError, SolverError
+from .errors import (
+    BracketError,
+    MethodDisagreementError,
+    SolverError,
+    TrapInstabilityError,
+)
 from .trap import (
     IonSpecies,
     SpeciesFrequencies,
@@ -170,10 +175,19 @@ def _soft_mode_alpha(family: AnisotropyFamily, chain: CrystalConfiguration) -> f
     linear chain is A + B/alpha with B that diagonal term, and it stays
     positive definite while 1/alpha > lambda_max(-A, B). Returns inf when
     that eigenvalue is not positive: the chain never buckles.
+    TrapInstabilityError when an ion's B underflows to zero: no alpha
+    then confines it along x.
     """
     ref = family.reference
     ratio = (chain.charges / chain.masses) / (ref.charge / ref.mass)
     B = chain.masses * ratio**2 * (4.0 * ref.charge * family.axial_curvature / ref.mass)
+    if not np.all(B > 0.0):
+        ion = chain.ions[int(np.argmin(B))]
+        raise TrapInstabilityError(
+            f"species q={ion.charge_number} m={ion.mass_amu} amu has an rf confinement "
+            "below the float range: no alpha confines it along x",
+            axis="x",
+        )
     xs = 3 * np.arange(chain.n)
     A = hessian(family.trap_at(1.0), chain)[np.ix_(xs, xs)] - np.diag(B)
     s = 1.0 / np.sqrt(B)

@@ -165,14 +165,21 @@ def calibrate_from_frequencies(
 
     so frequencies_for_species on the result reproduces the inputs to
     rounding error. A trap that TrapModel rejects, such as one with a
-    non-positive rf_frequency, is a ValueError.
+    non-positive rf_frequency, is a ValueError, and so are frequencies
+    whose squares leave the float range.
     """
     wx, wy, wz = frequencies.as_tuple()
     q = reference.charge
     m = reference.mass
-    beta = m * wz**2 / (4.0 * q)
-    beta_rad = m * (wy**2 - wx**2) / (4.0 * q)
-    gamma = (m * rf_frequency / q) * math.sqrt(wx**2 + wy**2 + wz**2) / 2.0
+    try:
+        wx2, wy2, wz2 = wx**2, wy**2, wz**2
+    except OverflowError:
+        raise ValueError(
+            f"the squared frequencies ({wx:.6g}, {wy:.6g}, {wz:.6g}) rad/s overflow"
+        ) from None
+    beta = m * wz2 / (4.0 * q)
+    beta_rad = m * (wy2 - wx2) / (4.0 * q)
+    gamma = (m * rf_frequency / q) * math.sqrt(wx2 + wy2 + wz2) / 2.0
     return TrapModel(
         axial_curvature=beta,
         rf_gradient=gamma,

@@ -36,7 +36,7 @@ DEFAULTED = {
                         "pixel_pitch_um"],
     "classify": ["length_scale"],
     "critical_anisotropy": ["method", "seed"],
-    "find_equilibrium": ["seed", "restarts", "initial"],
+    "find_equilibrium": ["seed", "initial"],
     "fit_positions": ["min_separation_px"],
     "min_same_side_gap": ["axis", "boundary_index"],
     "render": ["bright", "amplitudes_um", "directions", "flux", "background", "rng"],
@@ -62,7 +62,7 @@ def _defaulted() -> dict[str, list[str]]:
 
 def test_defaulted_parameters_are_pinned():
     assert _defaulted() == DEFAULTED
-    assert sum(map(len, DEFAULTED.values())) == 23
+    assert sum(map(len, DEFAULTED.values())) == 22
 
 
 def test_public_names_are_pinned():

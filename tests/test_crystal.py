@@ -187,16 +187,35 @@ def test_solves_are_deterministic(family, ca):
     assert np.array_equal(a.positions, b.positions)
 
 
-def test_restarts_keep_the_lowest_energy(family, ca):
+@pytest.mark.parametrize("script, winner", [
+    # a branch within 1e-12 of the first minimum loses the tie to it; one
+    # that fails is dropped, and a higher one loses
+    ((-1.0, -1.0 - 0.5e-12, ic.SaddlePointError("scripted", 1), 0.0), 0),
+    # a strictly lower branch wins, even after a tie
+    ((-1.0, -1.0 - 0.5e-12, -1.5, ic.ConvergenceError("scripted")), 2),
+], ids=["first-wins", "lower-wins"])
+def test_lowest_branch_wins_and_ties_go_to_the_earliest(family, ca, monkeypatch, script,
+                                                        winner):
+    # each branch's descent is scripted by first_mode: a minimum u whose
+    # x offsets name the branch, its energy, and 4 unstable modes to follow
+    returned = {}
+
+    def scripted_relax(u, *args, first_mode=0):
+        outcome = script[first_mode]
+        if isinstance(outcome, Exception):
+            raise outcome
+        returned[first_mode] = u.copy()
+        returned[first_mode][:, 0] = first_mode
+        return returned[first_mode], outcome, 4
+
+    monkeypatch.setattr(crystal, "_relax", scripted_relax)
+    ions = [ca, ca, ca]
     trap = family.trap_at(0.45)
-    single = ic.find_equilibrium(trap, [ca, ca, ca], seed=3, restarts=1)
-    multi = ic.find_equilibrium(trap, [ca, ca, ca], seed=3, restarts=6)
-    e_single = ic.potential_energy(trap, single)
-    e_multi = ic.potential_energy(trap, multi)
-    assert e_multi <= e_single * (1.0 + 1e-12)
-    # one tie rule: on a tie the earliest candidate, the first start's, wins
-    if abs(e_multi - e_single) <= 1e-12 * abs(e_single):
-        assert np.array_equal(multi.positions, single.positions)
+    config = ic.find_equilibrium(trap, ions)
+    scale = crystal._arrays(trap, ions)[3]
+    assert sorted(returned) == [k for k, outcome in enumerate(script)
+                                if not isinstance(outcome, Exception)]
+    assert np.array_equal(config.positions, returned[winner] * scale)
 
 
 def test_classify_planes_and_threshold(ca):
@@ -263,12 +282,11 @@ def test_initial_is_validated(family, ca):
         ic.find_equilibrium(trap, [ca, ca, ca], initial=np.full((3, 3), np.nan))
     with pytest.raises(ic.CoincidentIonsError):
         ic.find_equilibrium(trap, [ca, ca, ca], initial=np.zeros((3, 3)))
-    # a warm start is one start: it excludes restarts
-    with pytest.raises(ValueError, match="restarts"):
-        ic.find_equilibrium(trap, [ca, ca, ca], initial=good, restarts=2)
     # the cold-start offset and the escape bound are constants, not options,
-    # and the mirror is the primary's reflection, not a second solve
-    for option in ({"perturbation": 1e-8}, {"max_escapes": 8}, {"both_branches": True}):
+    # the mirror is the primary's reflection, not a second solve, and a
+    # solve relaxes from one start
+    for option in ({"perturbation": 1e-8}, {"max_escapes": 8}, {"both_branches": True},
+                   {"restarts": 2}):
         with pytest.raises(TypeError):
             ic.find_equilibrium(trap, [ca, ca, ca], **option)
 
@@ -306,31 +324,3 @@ def test_continuation_holds_no_sub_floor_coordinate(family, ca):
         assert not np.any((H != 0.0) & (np.abs(H) < tiny)), alpha
         previous = config.positions
     assert ic.classify(config).kind == "zigzag"
-
-
-def test_restarts_are_drawn_as_the_descents_reach_them(family, ca, monkeypatch):
-    # a huge restart count builds no list of starts up front: with a
-    # descent that stops after k calls, k cold starts have been drawn
-    k, drawn, relaxed = 3, [], []
-    cold_start = crystal._cold_start
-
-    def counting_start(*args):
-        drawn.append(1)
-        if len(drawn) > k:
-            raise AssertionError("cold start drawn before its descent")
-        return cold_start(*args)
-
-    class Stop(Exception):
-        pass
-
-    def stub_relax(u, *args, **kwargs):
-        relaxed.append(1)
-        if len(relaxed) == k:
-            raise Stop
-        return u, 1.0, 0
-
-    monkeypatch.setattr(crystal, "_cold_start", counting_start)
-    monkeypatch.setattr(crystal, "_relax", stub_relax)
-    with pytest.raises(Stop):
-        ic.find_equilibrium(family.trap_at(0.3), [ca, ca, ca], restarts=10**12)
-    assert len(drawn) == len(relaxed) == k

@@ -148,9 +148,19 @@ def test_error_messages_carry_field_paths(scenario_file):
          "render.amplitude_um"),
         ("render", "render:\n", "render:\n  mode: 0\n  amplitude_um: 1.0e+300\n",
          "render.amplitude_um"),
+        # the squares of the calibration frequencies overflow
+        ("calibrate", "[480.0, 630.0, 119.0]", "[1.0e+300, 1.0e+300, 1.0e+300]",
+         "squared frequencies (6.28319e+303, 6.28319e+303, 6.28319e+303) rad/s overflow"),
+        # 1e-300 amu is 0 kg; the Ca+ curvatures in a trap calibrated on
+        # a 1e300 amu reference overflow
+        ("calibrate", "ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-300}",
+         "species.ca2"),
+        ("calibrate", "reference: {charge: 1, mass_amu: 40.0}",
+         "reference: {charge: 1, mass_amu: 1.0e+300}", "species.ca"),
     ],
     ids=["scan-alpha-max-inf", "response-step-1e-300", "scan-points-1e12",
-         "scan-alpha-min-1e-300", "render-amplitude-1e6", "render-amplitude-1e300"],
+         "scan-alpha-min-1e-300", "render-amplitude-1e6", "render-amplitude-1e300",
+         "frequencies-1e300", "species-mass-1e-300", "reference-mass-1e300"],
 )
 def test_non_finite_and_oversized_inputs_exit_2(tmp_path, scenario_file, capsys,
                                                 command, old, new, needle):
@@ -191,8 +201,9 @@ def test_hostile_values_fail_only_as_scenario_errors(tmp_path):
 
 # Trap and species values that parse but used to end some command in a
 # traceback (exit 1): a calibration that overflows or underflows, an rf
-# gradient that overflows inside the scanned alpha range, and crystals
-# too wide to image.
+# gradient that overflows inside the scanned alpha range, crystals too
+# wide to image, a species mass that underflows to 0 kg or whose
+# curvatures overflow, and an rf confinement that underflows to zero.
 HOSTILE_TRAPS = {
     "frequencies-1e300": [("[480.0, 630.0, 119.0]", "[1.0e+300, 1.0e+300, 1.0e+300]")],
     "axial-1e-300": [("[480.0, 630.0, 119.0]", "[480.0, 630.0, 1.0e-300]")],
@@ -202,6 +213,11 @@ HOSTILE_TRAPS = {
                             ("ions: [ca, ca2, ca]", "ions: [ca, ca]")],
     "charge-1e6": [("ca2: {charge: 2, mass_amu: 40.0}",
                     "ca2: {charge: 1000000, mass_amu: 40.0}")],
+    "mass-1e-300": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-300}")],
+    "mass-1e-200": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-200}")],
+    "mass-1e300": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e+300}")],
+    "reference-mass-1e300": [("reference: {charge: 1, mass_amu: 40.0}",
+                              "reference: {charge: 1, mass_amu: 1.0e+300}")],
 }
 
 
