@@ -42,7 +42,6 @@ from .imaging import (
     fit_positions,
     fluorescing,
     project,
-    project_direction,
     read_pgm,
     render,
     write_pgm,

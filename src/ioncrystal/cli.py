@@ -257,8 +257,7 @@ def _cmd_render(sc: Scenario, out: Path):
     pm = ProjectionModel()
     positions = project(config.positions, pm)
     bright = fluorescing(config)
-    amps = None
-    dirs = None
+    amps = dirs = None
     if sc.render.mode is not None:
         modes = normal_modes(sc.trap, config)
         if sc.render.mode >= len(modes.frequencies):
@@ -267,13 +266,12 @@ def _cmd_render(sc: Scenario, out: Path):
                 f"{len(modes.frequencies)} modes"
             )
         desc = mode_descriptor(modes, sc.render.mode)
-        amps = desc.ion_amplitudes * sc.render.amplitude_um
+        # each spot is smeared by its ion's projected motion, along it
+        motion = project(desc.pattern, pm) * (sc.render.amplitude_um * 1e-6)
+        amps = np.linalg.norm(motion, axis=1)
         dirs = np.tile([1.0, 0.0], (config.n, 1))
-        for i in range(config.n):
-            vec = pm.matrix @ desc.pattern[i]
-            norm = np.linalg.norm(vec)
-            if norm > 0.0:
-                dirs[i] = vec / norm
+        moving = amps > 0.0
+        dirs[moving] = motion[moving] / amps[moving, None]
     rng = np.random.default_rng(sc.seed) if sc.render.noise else None
     try:
         image = render(

@@ -168,17 +168,6 @@ def _min_separation(pos: np.ndarray) -> float:
     return float(_pair_geometry(pos)[1].min())
 
 
-def _squared_frequencies(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray:
-    """Per-ion (wx^2, wy^2, wz^2), shape (N, 3). May contain non-positive entries."""
-    cache: dict[IonSpecies, tuple[float, float, float]] = {}
-    out = np.empty((len(ions), 3))
-    for i, s in enumerate(ions):
-        if s not in cache:
-            cache[s] = _squared_secular(trap, s)
-        out[i] = cache[s]
-    return out
-
-
 def _energy_gradient(
     pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray,
     pairs: tuple[np.ndarray, np.ndarray] | None = None,
@@ -250,14 +239,14 @@ def _unstable_count(evals: np.ndarray) -> int:
 
 def potential_energy(trap: TrapModel, config: CrystalConfiguration) -> float:
     """Total potential energy in joules."""
-    w2 = _squared_frequencies(trap, config.ions)
-    return _energy_gradient(config.positions, config.masses, config.charges, w2)[0]
+    masses, charges, w2, _ = _arrays(trap, config.ions)
+    return _energy_gradient(config.positions, masses, charges, w2)[0]
 
 
 def gradient(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
     """Gradient dE/dr flattened to (3N,), in newtons."""
-    w2 = _squared_frequencies(trap, config.ions)
-    _, g, _ = _energy_gradient(config.positions, config.masses, config.charges, w2)
+    masses, charges, w2, _ = _arrays(trap, config.ions)
+    _, g, _ = _energy_gradient(config.positions, masses, charges, w2)
     return g.ravel()
 
 
@@ -267,8 +256,8 @@ def hessian(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
     Coordinates are ordered (x0, y0, z0, x1, ...). For a linear chain
     the x, y, z sub-blocks decouple exactly.
     """
-    w2 = _squared_frequencies(trap, config.ions)
-    return _hessian(config.positions, config.masses, config.charges, w2)
+    masses, charges, w2, _ = _arrays(trap, config.ions)
+    return _hessian(config.positions, masses, charges, w2)
 
 
 def is_stationary(trap: TrapModel, config: CrystalConfiguration) -> bool:
@@ -278,8 +267,8 @@ def is_stationary(trap: TrapModel, config: CrystalConfiguration) -> bool:
     the force scale (the largest per-ion sum of trap and Coulomb force
     magnitudes). The same test ends every equilibrium solve.
     """
-    w2 = _squared_frequencies(trap, config.ions)
-    _, g, scale = _energy_gradient(config.positions, config.masses, config.charges, w2)
+    masses, charges, w2, _ = _arrays(trap, config.ions)
+    _, g, scale = _energy_gradient(config.positions, masses, charges, w2)
     return _stationary(g, scale)
 
 
@@ -438,8 +427,9 @@ def _relax(
 def _arrays(trap: TrapModel, ions: Sequence[IonSpecies]):
     """Masses, charges and squared frequencies (N, 3) of a solve, and its
     length unit: the first ion's Coulomb length at its axial frequency,
-    which depends on the static curvature alone."""
-    w2 = _squared_frequencies(trap, ions)
+    which depends on the static curvature alone. Squared frequencies may
+    be non-positive."""
+    w2 = np.array([_squared_secular(trap, s) for s in ions])
     masses = np.array([s.mass for s in ions])
     charges = np.array([s.charge for s in ions])
     return masses, charges, w2, characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))

@@ -1,11 +1,12 @@
 """Synthetic camera images of a crystal seen along a diagonal line of sight.
 
-The camera looks along the bisector of the x and z axes (45 degrees by
-default), so distances in the x-z plane appear stretched by
-1/cos(angle) = sqrt(2) while the out-of-plane y axis is compressed by
-cos(angle). A small in-plane rotation models imperfect camera mounting.
-Image coordinates (u, v) are in micrometres in object space; the chip
-pixel pitch divided by the magnification sets the pixel size.
+One fixed camera makes every image (ProjectionModel). It looks along
+the bisector of the x and z axes, 45 degrees from each, so distances in
+the x-z plane appear stretched by 1/cos(45) = sqrt(2) while the
+out-of-plane y axis is compressed by cos(45). Its mount is rotated by 3
+degrees in the image plane. Image coordinates (u, v) are in micrometres
+in object space; the 4.25 um chip pixels at 17x magnification make
+0.25 um pixels.
 
 Fluorescing ions render as Gaussian spots of the optical resolution
 width. A driven ion's spot is smeared along its oscillation direction:
@@ -38,22 +39,15 @@ from .errors import PeakFitError, SpotCountError
 _M_TO_UM = 1e6
 
 
-@dataclass(frozen=True)
 class ProjectionModel:
-    """Imaging geometry and optics parameters."""
+    """The camera's fixed imaging geometry and optics."""
 
-    viewing_angle_deg: float = 45.0
-    rotation_deg: float = 3.0
-    magnification: float = 17.0
-    psf_um: float = 0.9
-    pixel_pitch_um: float = 4.25
-
-    def __post_init__(self):
-        if not 0.0 <= self.viewing_angle_deg < 90.0:
-            raise ValueError("viewing_angle_deg must be in [0, 90)")
-        for name in ("magnification", "psf_um", "pixel_pitch_um"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+    __slots__ = ()
+    viewing_angle_deg = 45.0     # stretches x and z by 1/cos, squeezes y by cos
+    rotation_deg = 3.0           # mount rotation in the image plane
+    magnification = 17.0
+    psf_um = 0.9                 # point-spread width in object space
+    pixel_pitch_um = 4.25        # chip pixel pitch
 
     @property
     def um_per_px(self) -> float:
@@ -98,18 +92,6 @@ def project(positions: np.ndarray, model: ProjectionModel) -> np.ndarray:
     """Map lab positions (N, 3) in metres to image coordinates (N, 2) in um."""
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
     return pos @ model.matrix.T
-
-
-def project_direction(direction: np.ndarray, model: ProjectionModel) -> np.ndarray:
-    """Unit image-plane vector along which a lab-frame direction appears."""
-    d = np.asarray(direction, dtype=float)
-    v = model.matrix @ d
-    norm = np.linalg.norm(v)
-    # the kernel of the projection only hits zero up to rounding
-    floor = 1e-9 * np.abs(model.matrix).max() * np.linalg.norm(d)
-    if norm <= floor:
-        raise ValueError("direction projects to zero; it is along the line of sight")
-    return v / norm
 
 
 def fluorescing(config: CrystalConfiguration) -> np.ndarray:

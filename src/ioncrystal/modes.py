@@ -87,10 +87,8 @@ def normal_modes(trap: TrapModel, config: CrystalConfiguration) -> NormalModeSet
     soft = evals < _soft_floor(evals)
     freqs = np.sqrt(np.clip(evals, 0.0, None))
     # fix eigenvector signs so output does not depend on the LAPACK build
-    for m in range(evecs.shape[1]):
-        k = int(np.abs(evecs[:, m]).argmax())
-        if evecs[k, m] < 0.0:
-            evecs[:, m] *= -1.0
+    top = evecs[np.abs(evecs).argmax(axis=0), np.arange(evecs.shape[1])]
+    evecs = evecs * np.where(top < 0.0, -1.0, 1.0)
     freqs.setflags(write=False)
     evecs.setflags(write=False)
     soft.setflags(write=False)

@@ -100,11 +100,14 @@ def _mode_amplitudes(
 ) -> np.ndarray:
     """|mode coordinate| for each drive frequency, shape (G, 3N)."""
     b = np.abs(drive_overlap(modes, drive.axis))
-    w2 = modes.frequencies**2
-    wd2 = omega_d[:, None] ** 2
-    denom = np.sqrt(
-        (w2[None, :] - wd2) ** 2 + (drive.damping_rate * omega_d[:, None]) ** 2
-    )
+    # a mode too stiff to square in float range is so far from every drive
+    # that its inf denominator gives it a response of exactly 0
+    with np.errstate(over="ignore"):
+        w2 = modes.frequencies**2
+        wd2 = omega_d[:, None] ** 2
+        denom = np.sqrt(
+            (w2[None, :] - wd2) ** 2 + (drive.damping_rate * omega_d[:, None]) ** 2
+        )
     return b[None, :] * drive.field_amplitude / denom
 
 

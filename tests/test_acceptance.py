@@ -257,10 +257,11 @@ def test_08_property_suites():
 
 
 def test_09_imaging_round_trip():
-    flat = ic.ProjectionModel(rotation_deg=0.0)
-    stretch = ic.project(np.array([[0.0, 0.0, 10e-6]]), flat)[0, 0] / 10.0
-    exact_stretch = abs(stretch - math.sqrt(2.0)) < 1e-12 * math.sqrt(2.0)
+    # the mount rotation preserves lengths, so the stretch shows in the norms
     model = ic.ProjectionModel()
+    norms = np.linalg.norm(ic.project(np.eye(3) * 10e-6, model), axis=1)
+    exact_stretch = np.allclose(norms, [10.0 * math.sqrt(2.0), 10.0 / math.sqrt(2.0),
+                                        10.0 * math.sqrt(2.0)], rtol=1e-12, atol=0.0)
     u, v = ic.project(np.array([[0.0, 0.0, 10e-6]]), model)[0]
     exact_rotation = abs(math.degrees(math.atan2(v, u)) - 3.0) < 1e-12
 

@@ -22,7 +22,7 @@ PUBLIC = [
     "frequencies_for_species", "gradient", "hessian", "impurity_amplitude_ratio",
     "is_stationary", "localization_ratio", "min_same_side_gap", "mode_descriptor",
     "modes_by_axis", "normal_modes", "parse_scenario", "potential_energy", "project",
-    "project_direction", "pseudopotential_terms", "read_pgm", "render", "response_curve",
+    "pseudopotential_terms", "read_pgm", "render", "response_curve",
     "scan_configurations", "steady_state", "sweep_and_fit", "write_pgm",
 ]
 
@@ -32,8 +32,6 @@ PUBLIC = [
 DEFAULTED = {
     "CriticalPoint": ["cross_check"],
     "PhasePoint": ["error"],
-    "ProjectionModel": ["viewing_angle_deg", "rotation_deg", "magnification", "psf_um",
-                        "pixel_pitch_um"],
     "classify": ["length_scale"],
     "critical_anisotropy": ["method", "seed"],
     "find_equilibrium": ["seed", "initial"],
@@ -62,7 +60,7 @@ def _defaulted() -> dict[str, list[str]]:
 
 def test_defaulted_parameters_are_pinned():
     assert _defaulted() == DEFAULTED
-    assert sum(map(len, DEFAULTED.values())) == 22
+    assert sum(map(len, DEFAULTED.values())) == 17
 
 
 def test_public_names_are_pinned():

@@ -149,7 +149,7 @@ def test_spot_fit_default_separation_skips_noise_bumps(family, ca, ca2):
         model,
         bright=bright,
         amplitudes_um=0.3 * desc.ion_amplitudes,
-        directions=np.array([ic.project_direction(row, model) for row in desc.pattern]),
+        directions=ic.project(desc.pattern, model),
         flux=1e4,
         background=2.0,
         rng=np.random.default_rng(1924363861),
@@ -160,3 +160,13 @@ def test_spot_fit_default_separation_skips_noise_bumps(family, ca, ca2):
     # an explicit separation is used as given
     fitted, _ = ic.fit_positions(image, int(bright.sum()), min_separation_px=4)
     assert np.abs(fitted - expected).max() > 10.0
+
+
+def test_camera_reads_as_the_bench_expects():
+    # bench/workloads.py reads these attributes and checks spots against
+    # the oracle's matrix for the same two angles
+    model = ic.ProjectionModel()
+    assert (model.viewing_angle_deg, model.rotation_deg) == (45.0, 3.0)
+    assert model.um_per_px == 0.25
+    want = _oracle().projection_matrix(45.0, 3.0)
+    assert np.abs(model.matrix - want).max() <= 1e-12 * np.abs(want).max()

@@ -10,6 +10,7 @@ import pytest
 import yaml
 
 import ioncrystal as ic
+from ioncrystal import cli
 from ioncrystal.cli import _COMMANDS, main
 from ioncrystal.scenario import _SECTIONS, parse_scenario
 
@@ -215,6 +216,8 @@ HOSTILE_TRAPS = {
                     "ca2: {charge: 1000000, mass_amu: 40.0}")],
     "mass-1e-300": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-300}")],
     "mass-1e-200": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-200}")],
+    "mass-1e-100": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-100}")],
+    "mass-1e-70": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-70}")],
     "mass-1e300": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e+300}")],
     "reference-mass-1e300": [("reference: {charge: 1, mass_amu: 40.0}",
                               "reference: {charge: 1, mass_amu: 1.0e+300}")],
@@ -331,6 +334,30 @@ def test_cli_render_sidecar_marks_dark_ions(tmp_path, scenario_file):
     assert bright == [True, False, True]
     rows = _csv_rows(tmp_path / "projection.csv")
     assert [r["bright"] for r in rows] == ["true", "false", "true"]
+
+
+def test_cli_render_smears_each_spot_by_its_projected_motion(tmp_path, scenario_file,
+                                                              monkeypatch):
+    seen = {}
+
+    def spy(*args, **kwargs):
+        seen.update(kwargs)
+        return ic.render(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "render", spy)
+    sc = parse_scenario(scenario_file())
+    modes = ic.normal_modes(sc.trap, cli._solve(sc))
+    pm = ic.ProjectionModel()
+    for axis in "xyz":
+        m = next(k for k in range(len(modes.frequencies))
+                 if ic.mode_descriptor(modes, k).dominant_axis == axis)
+        text = MINIMAL.replace("render:\n", f"render:\n  mode: {m}\n  amplitude_um: 2.0\n")
+        path = scenario_file(text)
+        assert main(["render", "--scenario", str(path), "--out", str(tmp_path / axis)]) == 0
+        motion = ic.project(ic.mode_descriptor(modes, m).pattern, pm) * (2.0 * 1e-6)
+        smear = seen["amplitudes_um"][:, None] * seen["directions"]
+        np.testing.assert_allclose(smear, motion, rtol=1e-12, atol=1e-15)
+        assert np.allclose(np.linalg.norm(seen["directions"], axis=1), 1.0, rtol=1e-12)
 
 
 def test_cli_modes_match_benchmark_spectrum(tmp_path):
