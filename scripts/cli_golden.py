@@ -12,7 +12,13 @@ fingerprints the minimum selection on more arrangements than the
 scenarios reach: every case of tests/data/minima_grid.json solved at
 seed 0, with one row each for the primary and its mirror (the x
 reflection of the primary), holding its energy, classify kind (or the
-error's name) and the SHA-1 of the position bytes.
+error's name) and the SHA-1 of the position bytes. DIR/spots.csv
+fingerprints the spot fitter, which no CLI command calls: every
+scenario's crystal, solved as the CLI solves it, is rendered unsmeared
+at the scenario's flux over a background of SPOT_BACKGROUND with noise
+seeds SPOT_SEEDS, and fit_positions fits its bright ions. There is one
+row per spot with the repr of its fitted u, v and residual, or one row
+per image naming the fit's error.
 A change that does not touch the numerics must leave every file of two
 such trees byte-identical.
 --compare reports, for every CSV that differs, the largest relative and
@@ -34,6 +40,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
 GRID = ROOT / "tests" / "data" / "minima_grid.json"
 MINIMA_COLUMNS = ("charges", "alpha", "branch", "energy_j", "kind", "positions_sha1")
+SPOTS_COLUMNS = ("scenario", "seed", "spot", "u_um", "v_um", "residual")
+SPOT_SEEDS = range(4)
+SPOT_BACKGROUND = 2.0
 
 
 def run_all(out: Path) -> list[str]:
@@ -89,11 +98,39 @@ def minima_rows() -> list[tuple]:
     return rows
 
 
-def write_minima(path: Path) -> None:
+def spots_rows() -> list[tuple]:
+    """The spots.csv rows (see the module doc)."""
+    import numpy as np
+
+    import ioncrystal as ic
+
+    model = ic.ProjectionModel()
+    rows = []
+    for scenario in sorted(SCENARIOS.glob("*.yaml")):
+        sc = ic.parse_scenario(scenario)
+        config = ic.find_equilibrium(sc.trap, sc.ions, seed=sc.seed)
+        bright = ic.fluorescing(config)
+        positions = ic.project(config.positions, model)
+        for seed in SPOT_SEEDS:
+            image = ic.render(positions, model, bright=bright, flux=sc.render.flux,
+                              background=SPOT_BACKGROUND,
+                              rng=np.random.default_rng(seed))
+            try:
+                centres, residuals = ic.fit_positions(image, int(bright.sum()))
+            except ic.IonCrystalError as exc:
+                rows.append((scenario.stem, seed, type(exc).__name__, "", "", ""))
+                continue
+            for spot, ((u, v), res) in enumerate(zip(centres, residuals)):
+                rows.append((scenario.stem, seed, spot,
+                             repr(float(u)), repr(float(v)), repr(float(res))))
+    return rows
+
+
+def write_csv(path: Path, columns: tuple, rows: list[tuple]) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(MINIMA_COLUMNS)
-        writer.writerows(minima_rows())
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 def _float(text: str) -> float | None:
@@ -169,7 +206,8 @@ def main_cli(argv=None) -> int:
     args.out.mkdir(parents=True, exist_ok=True)
     log = run_all(args.out)
     (args.out / "runs.txt").write_text("".join(log))
-    write_minima(args.out / "minima.csv")
+    write_csv(args.out / "minima.csv", MINIMA_COLUMNS, minima_rows())
+    write_csv(args.out / "spots.csv", SPOTS_COLUMNS, spots_rows())
     print(f"{len(log)} runs -> {args.out}")
     return 0
 

@@ -42,7 +42,6 @@ from .imaging import (
     fit_positions,
     fluorescing,
     project,
-    read_pgm,
     render,
     write_pgm,
 )
@@ -62,7 +61,6 @@ from .response import (
     ResponseCurve,
     drive_overlap,
     response_curve,
-    steady_state,
     sweep_and_fit,
 )
 from .scenario import Scenario, parse_scenario

@@ -43,7 +43,7 @@ from .modes import (
     localization_ratio,
     normal_modes,
 )
-from .response import DriveSpec, _fit_peaks, response_curve
+from .response import DriveSpec, response_curve, sweep_and_fit
 from .scenario import Scenario, parse_scenario
 from .trap import anisotropy, frequencies_for_species
 from .transitions import _reference_length, critical_anisotropy, scan_configurations
@@ -222,7 +222,7 @@ def _cmd_response(sc: Scenario, out: Path):
         frequencies=grid,
     )
     curve = response_curve(modes, drive)
-    fits = _fit_peaks(curve)
+    fits = sweep_and_fit(modes, drive)
     mode_khz = [_khz(w) for w in modes.frequencies]
     curve_rows = [
         (_khz(w),) + tuple(curve.amplitudes[g] * 1e6)

@@ -368,7 +368,7 @@ def _relax(
                 modes, p = _mass_weighted_eigh(H, masses), None
         if p is None:
             evals, vecs = modes
-            lam = np.maximum(np.abs(evals), _SOFT_EIG_REL * np.abs(evals).max())
+            lam = np.maximum(np.abs(evals), _soft_floor(evals))
             gw = vecs.T @ (inv_sqrt_m * g)
 
             def shifted(mu: float) -> np.ndarray:

@@ -21,8 +21,8 @@ draws, refused (ValueError) where a mean is beyond numpy's limit.
 
 fit_positions fits each spot with an elliptical Gaussian and its
 analytic Jacobian in (height, centre u, centre v, width u, width v,
-offset). write_pgm writes 16-bit graymaps; read_pgm reads 8- and 16-bit
-ones.
+offset), through the package's one least-squares call,
+response._least_squares. write_pgm writes 16-bit graymaps.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .crystal import CrystalConfiguration
-from .errors import PeakFitError, SpotCountError
+from .errors import SpotCountError
+from .response import _least_squares
 
 _M_TO_UM = 1e6
 
@@ -363,17 +363,10 @@ def fit_positions(
             max(math.sqrt(dr2) * p, p),
             float(data.min()),
         ]
-        try:
-            popt, _ = curve_fit(
-                _spot_model,
-                (uu.ravel(), vv.ravel()),
-                data.ravel(),
-                p0=p0,
-                jac=_spot_jacobian,
-                maxfev=20000,
-            )
-        except RuntimeError as exc:
-            raise PeakFitError(f"spot fit failed near pixel ({r}, {c}): {exc}") from exc
+        popt, _ = _least_squares(
+            _spot_model, _spot_jacobian, (uu.ravel(), vv.ravel()), data.ravel(), p0,
+            f"spot fit failed near pixel ({r}, {c})",
+        )
         model_img = _spot_model((uu.ravel(), vv.ravel()), *popt)
         rms = float(np.sqrt(np.mean((model_img - data.ravel()) ** 2)))
         results.append((float(popt[1]), float(popt[2])))
@@ -394,27 +387,3 @@ def write_pgm(image: CameraImage, path) -> None:
         fh.write(header.encode("ascii"))
         fh.write(ints.tobytes())
 
-
-def read_pgm(path) -> tuple[np.ndarray, int]:
-    """Read a binary portable graymap, 8- or 16-bit, into a float array and its maxval."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(blob) and blob[pos : pos + 1].isspace():
-            pos += 1
-        if blob[pos : pos + 1] == b"#":
-            while pos < len(blob) and blob[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(blob) and not blob[pos : pos + 1].isspace():
-            pos += 1
-        fields.append(blob[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"not a binary graymap: magic {fields[0]!r}")
-    width, height, maxval = (int(f) for f in fields[1:])
-    dtype = ">u2" if maxval > 255 else "u1"
-    data = np.frombuffer(blob[pos + 1 :], dtype=dtype, count=width * height)
-    return data.reshape(height, width).astype(float), maxval

@@ -16,7 +16,8 @@ one matrix product of the (G, 3N) mode amplitudes with the mass-scaled
 
 Each resonance is fit with a Gaussian line and its analytic Jacobian in
 (height, centre, width, offset), so the fitter builds no
-finite-difference Jacobian.
+finite-difference Jacobian. These fits and imaging's spot fits all go
+through _least_squares, the package's one least-squares call.
 """
 
 from __future__ import annotations
@@ -95,10 +96,9 @@ def drive_overlap(modes: NormalModeSet, axis: str) -> np.ndarray:
     return weights @ components
 
 
-def _mode_amplitudes(
-    modes: NormalModeSet, drive: DriveSpec, omega_d: np.ndarray
-) -> np.ndarray:
-    """|mode coordinate| for each drive frequency, shape (G, 3N)."""
+def _mode_amplitudes(modes: NormalModeSet, drive: DriveSpec) -> np.ndarray:
+    """|mode coordinate| at each drive frequency, shape (G, 3N)."""
+    omega_d = drive.frequencies
     b = np.abs(drive_overlap(modes, drive.axis))
     # a mode too stiff to square in float range is so far from every drive
     # that its inf denominator gives it a response of exactly 0
@@ -111,22 +111,13 @@ def _mode_amplitudes(
     return b[None, :] * drive.field_amplitude / denom
 
 
-def steady_state(modes: NormalModeSet, drive: DriveSpec, omega_d: float) -> np.ndarray:
-    """Per-ion oscillation amplitude (metres) at one drive frequency."""
-    return _per_ion(modes, _mode_amplitudes(modes, drive, np.array([omega_d])))[0]
-
-
-def _per_ion(modes: NormalModeSet, mode_amps: np.ndarray) -> np.ndarray:
-    """Per-ion amplitudes (G, N) from mode amplitudes (G, 3N), by one matmul."""
+def response_curve(modes: NormalModeSet, drive: DriveSpec) -> ResponseCurve:
+    """Sweep the drive grid and collect per-ion amplitudes."""
+    mode_amps = _mode_amplitudes(modes, drive)
     cfg = modes.configuration
     phys = np.abs(modes.vectors) / np.repeat(np.sqrt(cfg.masses), 3)[:, None]
     per_axis = (mode_amps @ phys.T).reshape(len(mode_amps), cfg.n, 3)
-    return np.linalg.norm(per_axis, axis=2)
-
-
-def response_curve(modes: NormalModeSet, drive: DriveSpec) -> ResponseCurve:
-    """Sweep the drive grid and collect per-ion amplitudes."""
-    amps = _per_ion(modes, _mode_amplitudes(modes, drive, drive.frequencies))
+    amps = np.linalg.norm(per_axis, axis=2)
     return ResponseCurve(drive.frequencies.copy(), amps, drive)
 
 
@@ -166,6 +157,18 @@ def _peak_window(s: np.ndarray, k: int) -> slice:
     return slice(lo, hi + 1)
 
 
+def _least_squares(model, jac, x, y, p0, where: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fit model(x, *p) to y from p0 with its analytic Jacobian jac.
+
+    Returns the parameters and their covariance. A fit that does not
+    converge raises PeakFitError(f"{where}: {reason}").
+    """
+    try:
+        return curve_fit(model, x, y, p0=p0, jac=jac, maxfev=20000)
+    except RuntimeError as exc:
+        raise PeakFitError(f"{where}: {exc}") from exc
+
+
 def sweep_and_fit(modes: NormalModeSet, drive: DriveSpec) -> list[PeakFit]:
     """Detect and fit every resonance in a drive sweep.
 
@@ -175,11 +178,7 @@ def sweep_and_fit(modes: NormalModeSet, drive: DriveSpec) -> list[PeakFit]:
     next peak) with a Gaussian line. Centers come back in rad/s with
     covariance-based uncertainties.
     """
-    return _fit_peaks(response_curve(modes, drive))
-
-
-def _fit_peaks(curve: ResponseCurve) -> list[PeakFit]:
-    """sweep_and_fit's detection and fits on a curve already swept."""
+    curve = response_curve(modes, drive)
     s = curve.amplitudes.max(axis=1)
     x = curve.frequencies
     level = _DETECTION_FACTOR * float(np.median(s))
@@ -198,15 +197,11 @@ def _fit_peaks(curve: ResponseCurve) -> list[PeakFit]:
                 f"{x[k] / (2e3 * np.pi):.1f} kHz; refine the grid"
             )
         base = float(ys.min())
-        p0 = [s[k] - base, x[k], max(0.5 * curve.drive.damping_rate, dx), base]
-        try:
-            popt, pcov = curve_fit(
-                _gaussian, xs, ys, p0=p0, jac=_gaussian_jacobian, maxfev=20000
-            )
-        except RuntimeError as exc:
-            raise PeakFitError(
-                f"fit failed near {x[k] / (2e3 * np.pi):.1f} kHz: {exc}"
-            ) from exc
+        p0 = [s[k] - base, x[k], max(0.5 * drive.damping_rate, dx), base]
+        popt, pcov = _least_squares(
+            _gaussian, _gaussian_jacobian, xs, ys, p0,
+            f"fit failed near {x[k] / (2e3 * np.pi):.1f} kHz",
+        )
         stderr = float(np.sqrt(pcov[1, 1])) if np.isfinite(pcov[1, 1]) else np.inf
         fits.append(
             PeakFit(

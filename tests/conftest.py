@@ -64,3 +64,22 @@ def linear_chain():
         return ic.CrystalConfiguration(tuple(ions), pos)
 
     return make
+
+
+@pytest.fixture(scope="session")
+def read_pgm16():
+    """Reader for write_pgm's files: the samples as floats, and the maxval.
+
+    write_pgm writes the fixed header "P5\\n<width> <height>\\n65535\\n"
+    and then big-endian 16-bit samples.
+    """
+    import numpy as np
+
+    def read(path):
+        magic, size, maxval, data = path.read_bytes().split(b"\n", 3)
+        assert magic == b"P5"
+        width, height = (int(f) for f in size.split())
+        samples = np.frombuffer(data, dtype=">u2").reshape(height, width)
+        return samples.astype(float), int(maxval)
+
+    return read

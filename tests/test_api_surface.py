@@ -22,8 +22,8 @@ PUBLIC = [
     "frequencies_for_species", "gradient", "hessian", "impurity_amplitude_ratio",
     "is_stationary", "localization_ratio", "min_same_side_gap", "mode_descriptor",
     "modes_by_axis", "normal_modes", "parse_scenario", "potential_energy", "project",
-    "pseudopotential_terms", "read_pgm", "render", "response_curve",
-    "scan_configurations", "steady_state", "sweep_and_fit", "write_pgm",
+    "pseudopotential_terms", "render", "response_curve", "scan_configurations",
+    "sweep_and_fit", "write_pgm",
 ]
 
 # Every exported callable with a defaulted parameter, and those parameters.

@@ -430,12 +430,29 @@ def test_cli_response_peaks_sit_on_the_modes(tmp_path, name, count):
         assert abs(float(row["center_khz"]) - float(row["nearest_mode_khz"])) < 1.0
 
 
-def test_cli_render_round_trip(tmp_path):
+def test_cli_response_fits_through_sweep_and_fit(tmp_path, monkeypatch):
+    # the peaks come from the public fit, so a tracer wrapping it sees them
+    scenario = SCENARIOS / "three_ion_outer.yaml"
+    plain, spied = tmp_path / "plain", tmp_path / "spied"
+    assert main(["response", "--scenario", str(scenario), "--out", str(plain)]) == 0
+    calls = []
+
+    def spy(modes, drive):
+        calls.append(drive)
+        return ic.sweep_and_fit(modes, drive)
+
+    monkeypatch.setattr(cli, "sweep_and_fit", spy)
+    assert main(["response", "--scenario", str(scenario), "--out", str(spied)]) == 0
+    assert len(calls) == 1
+    assert (spied / "peaks.csv").read_bytes() == (plain / "peaks.csv").read_bytes()
+
+
+def test_cli_render_round_trip(tmp_path, read_pgm16):
     # the noisy image read back from disk gives the sidecar's bright positions
     scenario = SCENARIOS / "three_ion_outer.yaml"
     assert main(["render", "--scenario", str(scenario), "--out", str(tmp_path)]) == 0
     side = json.loads((tmp_path / "crystal.json").read_text())
-    pixels, _ = ic.read_pgm(tmp_path / "crystal.pgm")
+    pixels, _ = read_pgm16(tmp_path / "crystal.pgm")
     image = ic.CameraImage(pixels, side["um_per_px"], tuple(side["origin_um"]))
     bright = sorted((ion["u_um"], ion["v_um"]) for ion in side["ions"] if ion["bright"])
     fitted, _ = ic.fit_positions(image, len(bright))
