@@ -22,9 +22,10 @@ per image naming the fit's error.
 A change that does not touch the numerics must leave every file of two
 such trees byte-identical.
 --compare reports, for every CSV that differs, the largest relative and
-absolute change of each numeric column, and for every other file
-whether its bytes match. It exits 0 when the two trees are
-byte-identical and 1 otherwise.
+absolute change of each numeric column and, for each differing cell of a
+text column, its row, old -> new and the row's largest numeric relative
+change; for every other file whether its bytes match. It exits 0 when
+the two trees are byte-identical and 1 otherwise.
 """
 
 import argparse
@@ -140,8 +141,30 @@ def _float(text: str) -> float | None:
         return None
 
 
+def _change(x: float, y: float) -> tuple[float, float]:
+    """Relative and absolute change between two numbers; inf when one is
+    not finite, and 0.0 against -0.0 is no change."""
+    d = abs(x - y)
+    if not math.isfinite(d):
+        return math.inf, math.inf
+    return (d / max(abs(x), abs(y)) if d else 0.0), d
+
+
+def _row_change(old: list[str], new: list[str]) -> float:
+    """The largest relative change among the numeric cells of a row."""
+    nums = [(_float(x), _float(y)) for x, y in zip(old, new)]
+    return max((_change(x, y)[0] for x, y in nums if x is not None and y is not None),
+               default=0.0)
+
+
 def compare_csv(old: Path, new: Path) -> list[str]:
-    """Per-column differences of two CSV files; [] when nothing differs."""
+    """Per-column differences of two CSV files; [] when nothing differs.
+
+    A numeric column reports its largest relative and absolute change. A
+    text column names each differing cell: its row, old -> new, and the
+    row's largest numeric relative change, so that a label flipped by a
+    round-off tie shows as a flip beside a change of ~1e-16.
+    """
     with old.open(newline="") as fh:
         a = list(csv.reader(fh))
     with new.open(newline="") as fh:
@@ -150,21 +173,22 @@ def compare_csv(old: Path, new: Path) -> list[str]:
         return ["header or row count differs"]
     lines = []
     for j, name in enumerate(a[0]):
-        pairs = [(ra[j], rb[j]) for ra, rb in zip(a[1:], b[1:]) if ra[j] != rb[j]]
+        pairs = [(i, ra[j], rb[j])
+                 for i, (ra, rb) in enumerate(zip(a, b)) if ra[j] != rb[j]]
         if not pairs:
             continue
-        nums = [(_float(x), _float(y)) for x, y in pairs]
+        nums = [(_float(x), _float(y)) for _, x, y in pairs]
         if any(x is None or y is None for x, y in nums):
             lines.append(f"{name}: {len(pairs)} text values differ")
+            lines.extend(
+                f"  row {i} ({','.join(a[i])}): {x} -> {y}, largest numeric relative "
+                f"change in the row {_row_change(a[i], b[i]):.2g}"
+                for i, x, y in pairs
+            )
             continue
-        rel = absolute = 0.0
-        for x, y in nums:
-            d = abs(x - y)
-            if not math.isfinite(d):  # a non-finite value on one side
-                rel = absolute = math.inf
-            elif d:  # 0.0 against -0.0 is no change
-                absolute = max(absolute, d)
-                rel = max(rel, d / max(abs(x), abs(y)))
+        changes = [_change(x, y) for x, y in nums]
+        rel = max(r for r, _ in changes)
+        absolute = max(d for _, d in changes)
         lines.append(f"{name}: {len(pairs)} values, largest relative change "
                      f"{rel:.2g}, absolute {absolute:.2g}")
     return lines

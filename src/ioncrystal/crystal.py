@@ -5,9 +5,15 @@ The potential of N ions in a calibrated trap is
     E = sum_i M_i/2 (wx_i^2 x_i^2 + wy_i^2 y_i^2 + wz_i^2 z_i^2)
       + sum_{i<j} k q_i q_j / |r_i - r_j|
 
-with per-species secular frequencies from the trap model. Solves run in
-dimensionless coordinates (length unit: Coulomb length of the first
-ion's species). `axial_equilibrium` finds the linear chain by a damped
+with per-species secular frequencies from the trap model. One kernel
+evaluates it in any consistent units: `_evaluate` takes spring
+constants k2 = M w^2 and Coulomb prefactors kq = k q_i q_j and returns
+the energy, gradient and force scale with the pair geometry it used,
+from which `_hessian` builds the Hessian at the same point. The public
+functions call it in SI units. Solves call it in their own units
+(`_solve_units`): lengths in the Coulomb length of the first ion's
+species, energies in k q_0^2 over that length, masses in the first
+ion's mass. `axial_equilibrium` finds the linear chain by a damped
 Newton on z alone: the energy of an ordered chain is strictly convex.
 Every other equilibrium comes from one energy-descent Newton loop
 (`_relax`; Nocedal & Wright, Numerical Optimization, ch. 3 and 4).
@@ -168,59 +174,56 @@ def _min_separation(pos: np.ndarray) -> float:
     return float(_pair_geometry(pos)[1].min())
 
 
-def _energy_gradient(
-    pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, np.ndarray, float]:
-    """Energy (J), gradient dE/dr (N, shape of pos) and force scale (N) for raw arrays.
+def _evaluate(
+    pos: np.ndarray, k2: np.ndarray, kq: np.ndarray
+) -> tuple[float, np.ndarray, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Energy, gradient (shape of pos), force scale and pair geometry.
 
-    pos and w2 have shape (N, d): all three axes, or z alone. The force
-    scale is the largest per-ion sum of trap and Coulomb force
-    magnitudes, the yardstick of the stationarity test. pairs is
-    _pair_geometry(pos) when the caller already has it.
+    Works in any consistent units: pos has shape (N, d), all three axes
+    or z alone; k2 (N, d) holds the trap spring constants m w^2 and kq
+    (N, N) the Coulomb prefactors K q_i q_j, both in those units. The
+    force scale is the largest per-ion sum of trap and Coulomb force
+    magnitudes, the yardstick of the stationarity test. The geometry is
+    (diff, dist, c3) of _pair_geometry with c3 = kq / dist^3, 0 on the
+    diagonal: what _hessian needs at the same point.
     """
-    grad = masses[:, None] * w2 * pos
+    grad = k2 * pos
     energy = 0.5 * (grad * pos).sum()
     per_ion = np.abs(grad).sum(axis=1)
-    if len(masses) > 1:
-        diff, dist = pairs or _pair_geometry(pos)
-        qq_r = K_COULOMB * np.outer(charges, charges) / dist
-        energy += 0.5 * qq_r.sum()
-        qq_r2 = qq_r / dist
-        per_ion += qq_r2.sum(axis=1)
-        grad -= ((qq_r2 / dist)[:, :, None] * diff).sum(axis=1)
-    return float(energy), grad, float(per_ion.max())
+    diff, dist = _pair_geometry(pos)
+    qq_r = kq / dist
+    energy += 0.5 * qq_r.sum()
+    qq_r2 = qq_r / dist
+    per_ion += qq_r2.sum(axis=1)
+    c3 = qq_r2 / dist
+    grad -= (c3[:, :, None] * diff).sum(axis=1)
+    return float(energy), grad, float(per_ion.max()), (diff, dist, c3)
 
 
 def _hessian(
-    pos: np.ndarray, masses: np.ndarray, charges: np.ndarray, w2: np.ndarray,
-    pairs: tuple[np.ndarray, np.ndarray] | None = None,
+    geometry: tuple[np.ndarray, np.ndarray, np.ndarray], k2: np.ndarray
 ) -> np.ndarray:
-    """Second derivative matrix of the potential, shape (dN, dN), J/m^2.
-
-    pos, w2 and pairs as in _energy_gradient.
-    """
-    n, d = pos.shape
+    """Second derivative matrix of the potential, shape (dN, dN), from
+    _evaluate's geometry at a point and the spring constants k2 (N, d),
+    in their units."""
+    diff, dist, c3 = geometry
+    n, d = k2.shape
+    unit = diff / dist[:, :, None]
+    blocks = c3[:, :, None, None] * (
+        3.0 * unit[:, :, :, None] * unit[:, :, None, :] - np.eye(d)
+    )
     H = np.zeros((n, d, n, d))
+    H -= blocks.transpose(0, 2, 1, 3)
     idx = np.arange(n)
-    for ax in range(d):
-        H[idx, ax, idx, ax] = masses * w2[:, ax]
-    if n > 1:
-        diff, dist = pairs or _pair_geometry(pos)
-        unit = diff / dist[:, :, None]
-        c3 = K_COULOMB * np.outer(charges, charges) / dist**3
-        blocks = c3[:, :, None, None] * (
-            3.0 * unit[:, :, :, None] * unit[:, :, None, :] - np.eye(d)
-        )
-        H -= blocks.transpose(0, 2, 1, 3)
-        H[idx, :, idx, :] += blocks.sum(axis=1)
+    H[idx, :, idx, :] += blocks.sum(axis=1) + k2[:, :, None] * np.eye(d)
     return H.reshape(d * n, d * n)
 
 
 def _mass_weighted_eigh(
     H: np.ndarray, masses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of M^-1/2 H M^-1/2; eigenvalues in (rad/s)^2, ascending."""
+    """Eigen-decomposition of M^-1/2 H M^-1/2, eigenvalues ascending; in
+    (rad/s)^2 for SI H and masses."""
     inv = 1.0 / np.sqrt(np.repeat(masses, len(H) // len(masses)))
     D = H * inv[:, None] * inv[None, :]
     D = 0.5 * (D + D.T)
@@ -239,15 +242,14 @@ def _unstable_count(evals: np.ndarray) -> int:
 
 def potential_energy(trap: TrapModel, config: CrystalConfiguration) -> float:
     """Total potential energy in joules."""
-    masses, charges, w2, _ = _arrays(trap, config.ions)
-    return _energy_gradient(config.positions, masses, charges, w2)[0]
+    k2, kq, _, _ = _arrays(trap, config.ions)
+    return _evaluate(config.positions, k2, kq)[0]
 
 
 def gradient(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
     """Gradient dE/dr flattened to (3N,), in newtons."""
-    masses, charges, w2, _ = _arrays(trap, config.ions)
-    _, g, _ = _energy_gradient(config.positions, masses, charges, w2)
-    return g.ravel()
+    k2, kq, _, _ = _arrays(trap, config.ions)
+    return _evaluate(config.positions, k2, kq)[1].ravel()
 
 
 def hessian(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
@@ -256,8 +258,8 @@ def hessian(trap: TrapModel, config: CrystalConfiguration) -> np.ndarray:
     Coordinates are ordered (x0, y0, z0, x1, ...). For a linear chain
     the x, y, z sub-blocks decouple exactly.
     """
-    masses, charges, w2, _ = _arrays(trap, config.ions)
-    return _hessian(config.positions, masses, charges, w2)
+    k2, kq, _, _ = _arrays(trap, config.ions)
+    return _hessian(_evaluate(config.positions, k2, kq)[3], k2)
 
 
 def is_stationary(trap: TrapModel, config: CrystalConfiguration) -> bool:
@@ -267,8 +269,8 @@ def is_stationary(trap: TrapModel, config: CrystalConfiguration) -> bool:
     the force scale (the largest per-ion sum of trap and Coulomb force
     magnitudes). The same test ends every equilibrium solve.
     """
-    masses, charges, w2, _ = _arrays(trap, config.ions)
-    _, g, scale = _energy_gradient(config.positions, masses, charges, w2)
+    k2, kq, _, _ = _arrays(trap, config.ions)
+    _, g, scale, _ = _evaluate(config.positions, k2, kq)
     return _stationary(g, scale)
 
 
@@ -284,14 +286,18 @@ def _flush(u: np.ndarray) -> np.ndarray:
 
 def _relax(
     u: np.ndarray,
+    k2: np.ndarray,
+    kq: np.ndarray,
     masses: np.ndarray,
-    charges: np.ndarray,
-    w2: np.ndarray,
-    scale: float,
     *,
     first_mode: int = 0,
 ) -> tuple[np.ndarray, float, int]:
-    """Energy-descent Newton from u (shape (N, 3), in units of scale) to a minimum.
+    """Energy-descent Newton from u (shape (N, 3)) to a minimum.
+
+    u, k2, kq and masses are in a solve's units (_solve_units). Each
+    trial point gets one pair-geometry pass (_evaluate); the Hessian and
+    the smallest ion spacing at an accepted point come from that same
+    geometry.
 
     Each step solves H p = -g. Where the Hessian is not positive definite,
     its mass-weighted eigenvalues are replaced by their absolute values
@@ -315,35 +321,31 @@ def _relax(
 
     The first push moves _FIRST_PUSH spacings along unstable mode
     first_mode (0 the lowest, 1 the next, ...; the highest unstable one if
-    fewer are unstable). Returns the minimum, its energy in units of
-    K q_0^2 / scale, and the number of unstable modes at the first push
-    (0 without a push): the branches a caller may follow by descending
-    again with another first_mode.
+    fewer are unstable). Returns the minimum, its energy, and the number
+    of unstable modes at the first push (0 without a push): the branches a
+    caller may follow by descending again with another first_mode.
 
     Raises SaddlePointError after more than _MAX_ESCAPES stationary
     saddle points, or when the descent stalls on one, and ConvergenceError
     when it stalls or runs out of steps elsewhere.
     """
-    e0 = K_COULOMB * charges[0] ** 2 / scale
     inv_sqrt_m = 1.0 / np.sqrt(np.repeat(masses, u.shape[1]))
 
     def evaluate(v: np.ndarray):
-        x = v * scale
-        pairs = _pair_geometry(x)
-        e, g, f = _energy_gradient(x, masses, charges, w2, pairs)
-        return e / e0, g.ravel() * (scale / e0), _stationary(g, f), pairs
+        e, g, f, geometry = _evaluate(v, k2, kq)
+        return e, g.ravel(), _stationary(g, f), geometry
 
     def size(p: np.ndarray) -> float:
         """Largest per-ion length of a flat step."""
         return float(np.sqrt((p.reshape(u.shape) ** 2).sum(axis=1)).max())
 
     u = _flush(u)
-    e, g, stationary, pairs = evaluate(u)
+    e, g, stationary, geometry = evaluate(u)
     radius = _MAX_RADIUS
     escapes = 0
     forks = 0
     for _ in range(_MAX_STEPS):
-        H = _hessian(u * scale, masses, charges, w2, pairs) * (scale**2 / e0)
+        H = _hessian(geometry, k2)
         try:
             np.linalg.cholesky(H)
             modes = None
@@ -359,7 +361,7 @@ def _relax(
                 raise SaddlePointError(
                     "could not escape a saddle point", negative_count=unstable
                 )
-        spacing = _min_separation(u)
+        spacing = float(geometry[1].min())
         limit = radius * spacing
         p = None
         if modes is None:
@@ -402,7 +404,7 @@ def _relax(
         t = 1.0
         while True:
             trial = _flush(u + t * p)
-            e_t, g_t, stationary_t, pairs_t = evaluate(trial)
+            e_t, g_t, stationary_t, geometry_t = evaluate(trial)
             if unstable == 0 and abs(e_t - e) <= _ROUNDOFF * abs(e):
                 if np.abs(g_t).max() < gmax:
                     break
@@ -417,7 +419,7 @@ def _relax(
                 raise ConvergenceError(
                     "equilibrium solve stalled above the force tolerance"
                 )
-        u, e, g, stationary, pairs = trial, e_t, g_t, stationary_t, pairs_t
+        u, e, g, stationary, geometry = trial, e_t, g_t, stationary_t, geometry_t
         radius = min(2.0 * radius, _MAX_RADIUS) if t == 1.0 else t * length / spacing
     else:
         raise ConvergenceError(f"equilibrium solve did not converge in {_MAX_STEPS} steps")
@@ -425,21 +427,30 @@ def _relax(
 
 
 def _arrays(trap: TrapModel, ions: Sequence[IonSpecies]):
-    """Masses, charges and squared frequencies (N, 3) of a solve, and its
-    length unit: the first ion's Coulomb length at its axial frequency,
-    which depends on the static curvature alone. Squared frequencies may
-    be non-positive."""
+    """Spring constants m w^2 (N, 3), Coulomb prefactors K q_i q_j (N, N)
+    and masses (N,) of a solve in SI units, and its length unit: the first
+    ion's Coulomb length at its axial frequency, which depends on the
+    static curvature alone. Squared frequencies may be non-positive."""
     w2 = np.array([_squared_secular(trap, s) for s in ions])
     masses = np.array([s.mass for s in ions])
     charges = np.array([s.charge for s in ions])
-    return masses, charges, w2, characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
+    scale = characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
+    return masses[:, None] * w2, K_COULOMB * np.outer(charges, charges), masses, scale
+
+
+def _solve_units(trap: TrapModel, ions: Sequence[IonSpecies]):
+    """_arrays in the units every solve runs in: lengths in the length
+    unit, energies in K q_0^2 / (length unit), masses in m_0 (q_0 and m_0
+    are the first ion's)."""
+    k2, kq, masses, scale = _arrays(trap, ions)
+    return k2 * (scale**3 / kq[0, 0]), kq / kq[0, 0], masses / masses[0], scale
 
 
 def axial_equilibrium(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray:
     """Equilibrium z positions (metres) of the linear chain, ions kept in order.
 
     A damped Newton on z alone (James, Appl. Phys. B 66, 181, 1998), in
-    units of the first ion's Coulomb length, from an equally spaced seed.
+    the solve units of _solve_units, from an equally spaced seed.
     The energy of an ordered chain is strictly convex, so each full
     Newton step is only halved until the ions stay in order and the
     energy falls or, once energy changes are round-off, the largest force
@@ -449,28 +460,24 @@ def axial_equilibrium(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray
     """
     ions = tuple(ions)
     n = len(ions)
-    masses, charges, w2, scale = _arrays(trap, ions)
-    w2 = w2[:, 2:]
-    e0 = K_COULOMB * charges[0] ** 2 / scale
+    k2, kq, _, scale = _solve_units(trap, ions)
+    k2 = k2[:, 2:]
 
     def evaluate(u: np.ndarray):
-        x = u[:, None] * scale
-        pairs = _pair_geometry(x)
-        e, g, f = _energy_gradient(x, masses, charges, w2, pairs)
-        return e / e0, g[:, 0] * (scale / e0), _stationary(g, f), pairs
+        e, g, f, geometry = _evaluate(u[:, None], k2, kq)
+        return e, g[:, 0], _stationary(g, f), geometry
 
     u = (np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559
-    e, g, stationary, pairs = evaluate(u)
+    e, g, stationary, geometry = evaluate(u)
     for _ in range(_AXIAL_MAX_STEPS):
         if stationary:
             return u * scale
-        H = _hessian(u[:, None] * scale, masses, charges, w2, pairs) * (scale**2 / e0)
-        p = np.linalg.solve(H, g)
+        p = np.linalg.solve(_hessian(geometry, k2), g)
         t = 1.0
         while True:
             trial = u - t * p
             if np.all(np.diff(trial) > 0.0):
-                e_t, g_t, stationary_t, pairs_t = evaluate(trial)
+                e_t, g_t, stationary_t, geometry_t = evaluate(trial)
                 if abs(e_t - e) <= _ROUNDOFF * abs(e):
                     if np.abs(g_t).max() < np.abs(g).max():
                         break
@@ -479,7 +486,7 @@ def axial_equilibrium(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray
             t *= 0.5
             if t < 1e-10:
                 raise ConvergenceError("axial equilibrium stalled above the force tolerance")
-        u, e, g, stationary, pairs = trial, e_t, g_t, stationary_t, pairs_t
+        u, e, g, stationary, geometry = trial, e_t, g_t, stationary_t, geometry_t
     raise ConvergenceError(
         f"axial equilibrium did not converge in {_AXIAL_MAX_STEPS} steps"
     )
@@ -536,7 +543,7 @@ def find_equilibrium(
 
     if n == 1:  # a lone ion sits at the trap centre
         return CrystalConfiguration(ions, np.zeros((1, 3)))
-    masses, charges, w2, scale = _arrays(trap, ions)
+    k2, kq, masses, scale = _solve_units(trap, ions)
     if initial is None:
         z = axial_equilibrium(trap, ions)
         initial = _cold_start(trap, ions, z, np.random.default_rng(seed))
@@ -545,11 +552,11 @@ def find_equilibrium(
     def candidates():
         """(u, energy) of the minimum from the start, then of those from
         its mode branches, in order."""
-        u, e, forks = _relax(start, masses, charges, w2, scale)
+        u, e, forks = _relax(start, k2, kq, masses)
         yield u, e
         for k in range(1, min(forks, _BRANCHES) if n <= _BRANCH_MAX_IONS else 1):
             try:
-                yield _relax(start, masses, charges, w2, scale, first_mode=k)[:2]
+                yield _relax(start, k2, kq, masses, first_mode=k)[:2]
             except SolverError:
                 pass
 

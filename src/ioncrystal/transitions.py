@@ -19,14 +19,20 @@ _PROBE_SPACING/2, and must be linear below and buckled above. Any other
 pair of outcomes is a MethodDisagreementError; a solver failure in a
 probe propagates.
 
-Phase scans are continuations: each arrangement is relaxed in ascending
-alpha, every solve starting from the previous minimum, and a grid point
+Phase scans solve only the buckled branch. Below alpha* the linear chain
+is the minimum by the definition of alpha*, so each arrangement's chain
+and alpha* are computed once and every grid point below alpha* gets the
+chain without a solve. Above it the scan is a predictor-corrector
+continuation (Allgower & Georg, Numerical Continuation Methods, 1990) in
+ascending alpha: each solve starts from the secant extrapolation of the
+last two buckled minima, or from the previous minimum, and a grid point
 whose solve fails is recorded and followed by a cold solve.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -265,31 +271,61 @@ def scan_configurations(
 ) -> PhaseMap:
     """Relax every arrangement at every alpha and classify the results.
 
-    Each arrangement is followed as a continuation in ascending alpha:
-    the first grid point is solved cold (from `seed`), every later one
-    starts from the previous minimum (find_equilibrium's initial=). A
-    solver failure is recorded at its grid point instead of aborting the
-    scan, and the next point is solved cold again. A chain that has left
-    the linear phase must not re-enter it (ValueError).
+    Each arrangement is followed in ascending alpha. Its linear chain
+    and alpha* (see critical_anisotropy) are computed once: below alpha*
+    the chain is the minimum, so those grid points get it and its label
+    without a solve. A point at or above alpha* is relaxed by
+    find_equilibrium from a predicted start: the secant extrapolation of
+    the last two non-linear minima, else the previous minimum (the chain,
+    or a cold start from `seed` at the first point). If the solve from a
+    secant start fails, the point is solved again from the previous
+    minimum. A solver failure is recorded at its grid point instead of
+    aborting the scan; the next point is then solved cold and the secant
+    history starts again. When the chain or alpha* cannot be computed
+    (SolverError), every point is solved. A chain that has left the
+    linear phase must not re-enter it (ValueError).
     """
     alphas = sorted(float(a) for a in alphas)
     ell = _reference_length(family)
     points: list[PhasePoint] = []
     for label, ions in arrangements.items():
         ions = tuple(ions)
+        try:
+            chain = _linear_chain(family, ions)
+            alpha_star = _soft_mode_alpha(family, chain)
+        except SolverError:
+            alpha_star = -math.inf
+        else:
+            chain_class = classify(chain, length_scale=ell)
         previous = None
+        history: list[tuple[float, np.ndarray]] = []  # the last two minima off the chain
         left_linear = False
         for a in alphas:
             alpha_y = family.alpha_y_at(a)
-            try:
-                cfg = find_equilibrium(
-                    family.trap_at(a), ions, seed=seed, initial=previous
-                )
-                sc = classify(cfg, length_scale=ell)
-            except SolverError as exc:
-                points.append(PhasePoint(a, alpha_y, label, None, str(exc)))
-                previous = None
-                continue
+            if a < alpha_star:
+                cfg, sc = chain, chain_class
+            else:
+                trap = family.trap_at(a)
+                cfg = None
+                if len(history) == 2:
+                    (a1, x1), (a2, x2) = history
+                    # a repeated grid point makes a non-finite guess, which
+                    # find_equilibrium rejects (ValueError)
+                    with np.errstate(all="ignore"):
+                        guess = x2 + np.float64(a - a2) / (a2 - a1) * (x2 - x1)
+                    with suppress(SolverError, ValueError):
+                        cfg = find_equilibrium(trap, ions, initial=guess)
+                try:
+                    if cfg is None:
+                        cfg = find_equilibrium(trap, ions, seed=seed, initial=previous)
+                    sc = classify(cfg, length_scale=ell)
+                except SolverError as exc:
+                    points.append(PhasePoint(a, alpha_y, label, None, str(exc)))
+                    previous = None
+                    history = []
+                    continue
+                if sc.kind != "linear":
+                    history = history[-1:] + [(a, cfg.positions)]
             if sc.kind != "linear":
                 left_linear = True
             elif left_linear:
@@ -299,4 +335,3 @@ def scan_configurations(
             points.append(PhasePoint(a, alpha_y, label, sc))
             previous = cfg.positions
     return PhaseMap(tuple(points))
-

@@ -324,3 +324,60 @@ def test_continuation_holds_no_sub_floor_coordinate(family, ca):
         assert not np.any((H != 0.0) & (np.abs(H) < tiny)), alpha
         previous = config.positions
     assert ic.classify(config).kind == "zigzag"
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 20, 48])
+def test_solve_units_reproduce_the_si_kernel(family, n):
+    # the kernel in a solve's units (lengths in the length unit L, energies
+    # in K q_0^2 / L) is the SI kernel rescaled, on random mixtures
+    rng = np.random.default_rng(n)
+    species = (ic.IonSpecies(1, 40.0), ic.IonSpecies(2, 40.0), ic.IonSpecies(1, 9.0),
+               ic.IonSpecies(3, 138.0))
+    ions = tuple(species[i] for i in rng.integers(len(species), size=n))
+    trap = family.trap_at(0.05)
+    k2, kq, masses, scale = crystal._arrays(trap, ions)
+    k2_u, kq_u, masses_u, scale_u = crystal._solve_units(trap, ions)
+    assert scale_u == scale
+    assert np.array_equal(masses_u, masses / masses[0])
+    e0 = kq[0, 0] / scale
+    u = np.column_stack([rng.normal(0.0, 0.3, n), rng.normal(0.0, 0.3, n),
+                         np.arange(n) - 0.5 * (n - 1) + rng.uniform(-0.2, 0.2, n)])
+    e, g, force, geometry = crystal._evaluate(u * scale, k2, kq)
+    e_u, g_u, force_u, geometry_u = crystal._evaluate(u, k2_u, kq_u)
+    H = crystal._hessian(geometry, k2)
+    H_u = crystal._hessian(geometry_u, k2_u)
+    assert abs(e_u * e0 - e) <= 1e-13 * abs(e)
+    assert abs(force_u * e0 / scale - force) <= 1e-13 * force
+    assert np.abs(g_u * (e0 / scale) - g).max() <= 1e-13 * force
+    assert np.abs(H_u * (e0 / scale**2) - H).max() <= 1e-13 * np.abs(H).max()
+
+
+def test_relax_makes_one_geometry_pass_per_point(family, ca, ca2, monkeypatch):
+    # each trial point's pair geometry serves its energy, gradient, Hessian
+    # and the trust radius's spacing: one pass per evaluated point
+    ions = (ca, ca2, ca, ca, ca2, ca)
+    trap = family.trap_at(0.3)
+    k2, kq, masses, scale = crystal._solve_units(trap, ions)
+    start = crystal._cold_start(trap, ions, ic.axial_equilibrium(trap, ions),
+                                np.random.default_rng(0)) / scale
+    passes, points = [], []
+    geometry, evaluate = crystal._pair_geometry, crystal._evaluate
+
+    def counted_geometry(pos):
+        passes.append(pos)
+        return geometry(pos)
+
+    def counted_evaluate(pos, *args):
+        points.append(pos)
+        return evaluate(pos, *args)
+
+    def refused(pos):
+        raise AssertionError("_min_separation called in _relax")
+
+    monkeypatch.setattr(crystal, "_pair_geometry", counted_geometry)
+    monkeypatch.setattr(crystal, "_evaluate", counted_evaluate)
+    monkeypatch.setattr(crystal, "_min_separation", refused)
+    u, _, forks = crystal._relax(start, k2, kq, masses)
+    assert forks > 0 and len(points) > 5
+    assert len(passes) == len(points)
+    assert all(p is q for p, q in zip(passes, points))

@@ -216,6 +216,7 @@ HOSTILE_TRAPS = {
                     "ca2: {charge: 1000000, mass_amu: 40.0}")],
     "mass-1e-300": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-300}")],
     "mass-1e-200": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-200}")],
+    "mass-1e-140": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-140}")],
     "mass-1e-100": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-100}")],
     "mass-1e-70": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e-70}")],
     "mass-1e300": [("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 1.0e+300}")],
@@ -522,6 +523,9 @@ def test_golden_compare_reports_column_changes(tmp_path, capsys):
     assert "s/response/peaks.csv: differs" in lines
     assert "  center_khz: 1 values, largest relative change 2.1e-10, absolute 1e-07" in lines
     assert "  label: 1 text values differ" in lines
+    # each text flip is named with its row and the row's largest numeric change
+    assert ("    row 1 (480.0,36,a,0.0): a -> b, largest numeric relative change "
+            "in the row 2.1e-10") in lines
     # 0.0 against -0.0 is listed as a changed value with no numeric change
     assert "  zero: 1 values, largest relative change 0, absolute 0" in lines
     assert not any(line.lstrip().startswith("n_points") for line in lines)

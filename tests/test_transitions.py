@@ -112,12 +112,15 @@ def test_three_regimes(family, ca, ca2):
 
 def test_monotone_phase_boundary_guard(family, ca, monkeypatch):
     # a chain classified zigzag and then linear as alpha grows re-enters
-    # the linear phase: the scan refuses the map it would build
-    kinds = iter([ic.StructureClass("zigzag", "xz", 1e-6),
+    # the linear phase: the scan refuses the map it would build. The first
+    # label is the linear chain's, which serves 0.30 < 5/12 without a solve.
+    kinds = iter([ic.StructureClass("linear", None, 0.0),
+                  ic.StructureClass("zigzag", "xz", 1e-6),
                   ic.StructureClass("linear", None, 0.0)])
     monkeypatch.setattr(transitions, "classify", lambda cfg, length_scale: next(kinds))
-    with pytest.raises(ValueError, match="non-monotone phase boundary for 'chain'"):
-        ic.scan_configurations(family, {"chain": [ca, ca]}, [0.3, 0.4])
+    with pytest.raises(ValueError, match="non-monotone phase boundary for 'chain' at "
+                                         "alpha_x = 0.5"):
+        ic.scan_configurations(family, {"chain": [ca, ca, ca]}, [0.3, 0.45, 0.5])
 
 
 def test_scan_records_solver_failures(family, ca):
@@ -220,13 +223,24 @@ def test_continuation_scan_matches_cold_solves(family, ca, ca2):
     for arrangements, alphas in scans:
         pm = ic.scan_configurations(family, arrangements, alphas)
         for label, ions in arrangements.items():
-            # each arrangement's points, in the ascending alpha they were solved
-            points = [p for p in pm.points if p.label == label]
-            previous = None
-            for p in points:
+            # the scan's own steps, in ascending alpha: the chain below
+            # alpha*, and above it a solve from the secant extrapolation of
+            # the last two non-linear minima, else from the previous minimum
+            chain = transitions._linear_chain(family, ions)
+            alpha_star = transitions._soft_mode_alpha(family, chain)
+            previous, history = None, []
+            for p in (p for p in pm.points if p.label == label):
                 trap = family.trap_at(p.alpha_x)
-                # the continuation step the scan took, and the cold solve
-                warm = ic.find_equilibrium(trap, ions, initial=previous)
+                if p.alpha_x < alpha_star:
+                    warm = chain
+                else:
+                    start = previous
+                    if len(history) == 2:
+                        (a1, x1), (a2, x2) = history
+                        start = x2 + (p.alpha_x - a2) / (a2 - a1) * (x2 - x1)
+                    warm = ic.find_equilibrium(trap, ions, initial=start)
+                    if ic.classify(warm, length_scale=ell).kind != "linear":
+                        history = history[-1:] + [(p.alpha_x, warm.positions)]
                 previous = warm.positions
                 assert ic.classify(warm, length_scale=ell) == p.structure
                 cold = ic.find_equilibrium(trap, ions)
@@ -234,6 +248,82 @@ def test_continuation_scan_matches_cold_solves(family, ca, ca2):
                 e_cold = ic.potential_energy(trap, cold)
                 e_warm = ic.potential_energy(trap, warm)
                 assert e_warm <= e_cold + 1e-12 * abs(e_cold)
+
+
+def test_scan_solves_only_above_the_soft_mode_alpha(family, ca, ca2, monkeypatch):
+    ions = [ca, ca2, ca, ca]
+    ell = transitions._reference_length(family)
+    alpha_star = transitions._soft_mode_alpha(family, transitions._linear_chain(family, ions))
+    alphas = alpha_star * np.linspace(0.5, 1.5, 12)
+    classified, solved = [], []
+    classify, solve = transitions.classify, transitions.find_equilibrium
+
+    def recorded_classify(config, length_scale):
+        classified.append((config, classify(config, length_scale=length_scale)))
+        return classified[-1][1]
+
+    def recorded_solve(trap, ions, **kwargs):
+        solved.append(trap)
+        return solve(trap, ions, **kwargs)
+
+    monkeypatch.setattr(transitions, "classify", recorded_classify)
+    monkeypatch.setattr(transitions, "find_equilibrium", recorded_solve)
+    pm = ic.scan_configurations(family, {"chain": ions}, alphas)
+    monkeypatch.undo()
+    below = [p for p in pm.points if p.alpha_x < alpha_star]
+    assert 0 < len(below) < len(alphas)
+    assert solved == [family.trap_at(a) for a in alphas if a >= alpha_star]
+    # the first label is the chain's, and every point below alpha* carries it
+    chain, label = classified[0]
+    assert np.all(chain.positions[:, :2] == 0.0)
+    for p in below:
+        assert p.structure is label
+        assert (p.structure.kind, p.structure.order_parameter) == ("linear", 0.0)
+        trap = family.trap_at(p.alpha_x)
+        assert np.array_equal(chain.positions[:, 2], ic.axial_equilibrium(trap, ions))
+        assert ic.classify(ic.find_equilibrium(trap, ions), length_scale=ell).kind == "linear"
+    assert all(p.structure.kind != "linear" for p in pm.points if p.alpha_x >= alpha_star)
+
+
+def _recorded_solves(monkeypatch, refuse=()):
+    """Record (initial, minimum or None) of every scan solve; the solves
+    numbered in refuse raise ConvergenceError instead."""
+    calls = []
+    solve = transitions.find_equilibrium
+
+    def recorded(trap, ions, **kwargs):
+        calls.append([kwargs.get("initial"), None])
+        if len(calls) - 1 in refuse:
+            raise ic.ConvergenceError("scripted")
+        calls[-1][1] = solve(trap, ions, **kwargs).positions
+        return ic.CrystalConfiguration(tuple(ions), calls[-1][1])
+
+    monkeypatch.setattr(transitions, "find_equilibrium", recorded)
+    return calls
+
+
+def test_scan_falls_back_from_a_rejected_secant_start(family, ca, monkeypatch):
+    # 5/12 < 0.45: every point is solved. The solve from the secant start
+    # at 0.47 fails, so 0.47 is solved again from the minimum at 0.46, no
+    # failure is recorded, and 0.48 starts from the secant of 0.46 and 0.47.
+    calls = _recorded_solves(monkeypatch, refuse={2})
+    pm = ic.scan_configurations(family, {"chain": [ca] * 3}, [0.45, 0.46, 0.47, 0.48])
+    assert [p.error for p in pm.points] == [None] * 4
+    assert all(p.structure.kind == "zigzag" for p in pm.points)
+    assert len(calls) == 5
+    (start, x45), (s46, x46), (_, refused), (s47, x47), (s48, _) = calls
+    assert start is None and refused is None
+    assert np.array_equal(s46, x45) and np.array_equal(s47, x46)
+    assert np.array_equal(s48, x47 + np.float64(0.48 - 0.47) / (0.47 - 0.46) * (x47 - x46))
+    # a repeated grid point makes the next secant start non-finite, which
+    # find_equilibrium rejects: that point is solved from the previous minimum
+    monkeypatch.undo()
+    calls = _recorded_solves(monkeypatch)
+    pm = ic.scan_configurations(family, {"chain": [ca] * 3}, [0.45, 0.46, 0.46, 0.47])
+    assert [p.error for p in pm.points] == [None] * 4
+    assert len(calls) == 5
+    assert not np.all(np.isfinite(calls[3][0])) and calls[3][1] is None
+    assert np.array_equal(calls[4][0], calls[2][1])
 
 
 def _count_axial_solves(monkeypatch):
