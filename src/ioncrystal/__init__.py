@@ -48,7 +48,6 @@ from .imaging import (
 from .modes import (
     ModeDescriptor,
     NormalModeSet,
-    impurity_amplitude_ratio,
     localization_ratio,
     min_same_side_gap,
     mode_descriptor,
@@ -72,7 +71,6 @@ from .trap import (
     calibrate_from_frequencies,
     characteristic_length,
     frequencies_for_species,
-    pseudopotential_terms,
 )
 from .transitions import (
     AnisotropyFamily,

@@ -13,21 +13,23 @@ from which `_hessian` builds the Hessian at the same point. The public
 functions call it in SI units. Solves call it in their own units
 (`_solve_units`): lengths in the Coulomb length of the first ion's
 species, energies in k q_0^2 over that length, masses in the first
-ion's mass. `axial_equilibrium` finds the linear chain by a damped
-Newton on z alone: the energy of an ordered chain is strictly convex.
-Every other equilibrium comes from one energy-descent Newton loop
-(`_relax`; Nocedal & Wright, Numerical Optimization, ch. 3 and 4).
-Each step solves with the analytic Hessian. Where it is indefinite its
-mass-weighted eigenvalues are replaced by their absolute values, and the
-step pushes along the lowest mode while that mode is unstable. A trust
-radius tied to the smallest ion spacing bounds every ion's step, and a
-step is accepted only if it lowers the energy. The loop stops at a
-stationary point (`is_stationary`) with no unstable direction. No
-coordinate of an iterate lies strictly between 0 and _FLOOR (in the
-length unit): the loop sets such coordinates to zero. Past the
-transition a warm start carries transverse offsets that each solve
-shrinks by ~1e-14; left alone they reach the subnormal range (below
-2.2e-308), where the Hessian's factorisations run ~20 times slower.
+ion's mass. Two Newton loops (Nocedal & Wright, Numerical Optimization,
+ch. 3 and 4) share one evaluation (`_state`) and one backtracking line
+search (`_line_search`): a step is accepted on an Armijo energy decrease
+or, with no unstable direction and a round-off energy change, on a
+smaller largest force. Each loop stops at a stationary point
+(`is_stationary`). `axial_equilibrium` takes plain Newton steps on z
+alone: the energy of an ordered chain is strictly convex, and a trial
+that reorders the ions is inadmissible. Every other equilibrium comes
+from `_relax`. Where the Hessian is indefinite its mass-weighted
+eigenvalues are replaced by their absolute values, the step pushes along
+the lowest mode while it is unstable, and a trust radius tied to the
+smallest ion spacing bounds every ion's step. No coordinate of an
+iterate lies strictly between 0 and _FLOOR (in the length unit): the
+line search sets such coordinates to zero. Past the transition a warm
+start carries transverse offsets that each solve shrinks by ~1e-14;
+left alone they reach the subnormal range (below 2.2e-308), where the
+Hessian's factorisations run ~20 times slower.
 
 `find_equilibrium` runs the loop on all three axes, from the linear
 chain with small transverse offsets or from given positions. Deep in the
@@ -43,6 +45,7 @@ degenerate mirror is its reflection and takes no second solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -270,18 +273,49 @@ def is_stationary(trap: TrapModel, config: CrystalConfiguration) -> bool:
     magnitudes). The same test ends every equilibrium solve.
     """
     k2, kq, _, _ = _arrays(trap, config.ions)
-    _, g, scale, _ = _evaluate(config.positions, k2, kq)
-    return _stationary(g, scale)
+    return _state(config.positions, k2, kq)[2]
 
 
-def _stationary(g: np.ndarray, force_scale: float) -> bool:
-    return bool(np.abs(g).max() <= STATIONARY_REL * force_scale)
+def _state(pos: np.ndarray, k2: np.ndarray, kq: np.ndarray) -> tuple:
+    """_evaluate at pos with the gradient flattened and, in place of the
+    force scale, is_stationary's verdict: energy, gradient, stationary,
+    geometry."""
+    e, g, scale, geometry = _evaluate(pos, k2, kq)
+    return e, g.ravel(), bool(np.abs(g).max() <= STATIONARY_REL * scale), geometry
 
 
 def _flush(u: np.ndarray) -> np.ndarray:
     """u with every coordinate below _FLOOR in magnitude set to +0.0; the
     others keep their bits."""
     return np.where(np.abs(u) < _FLOOR, 0.0, u)
+
+
+def _line_search(evaluate, u, p, e, g, unstable):
+    """Backtrack from u (energy e, flat gradient g) along the step p.
+
+    Returns (t, trial, evaluate(trial)) for the first trial
+    _flush(u + t p), t = 1, 1/2, ..., that the module docstring's rule
+    accepts; its round-off branch applies only when unstable, the count of
+    unstable directions at u, is 0. evaluate returns _state's tuple, with
+    energy +inf for an inadmissible trial. Below t = 1e-10 it raises
+    SaddlePointError carrying unstable, or ConvergenceError if it is 0.
+    """
+    slope = float(g @ p.ravel())
+    gmax = np.abs(g).max()
+    t = 1.0
+    while t >= 1e-10:
+        trial = _flush(u + t * p)
+        point = evaluate(trial)
+        e_t, g_t = point[:2]
+        if unstable == 0 and abs(e_t - e) <= _ROUNDOFF * abs(e):
+            if np.abs(g_t).max() < gmax:
+                return t, trial, point
+        elif e_t <= e + _ARMIJO * t * slope:
+            return t, trial, point
+        t *= 0.5
+    if unstable:
+        raise SaddlePointError("descent stalled on a saddle point", negative_count=unstable)
+    raise ConvergenceError("equilibrium solve stalled above the force tolerance")
 
 
 def _relax(
@@ -295,7 +329,7 @@ def _relax(
     """Energy-descent Newton from u (shape (N, 3)) to a minimum.
 
     u, k2, kq and masses are in a solve's units (_solve_units). Each
-    trial point gets one pair-geometry pass (_evaluate); the Hessian and
+    trial point gets one pair-geometry pass (_state); the Hessian and
     the smallest ion spacing at an accepted point come from that same
     geometry.
 
@@ -307,12 +341,9 @@ def _relax(
     trust radius (in smallest spacings); a longer step is shortened by a
     shift mu of the eigenvalues (Levenberg-Marquardt), which cuts the soft
     directions first. The radius doubles after a full step and shrinks to
-    what the line search kept. A step is accepted on an Armijo energy
-    decrease; when the Hessian has no unstable direction and the energy
-    change is round-off, on a smaller largest force instead. The loop
-    stops when the configuration is stationary (is_stationary's test)
-    with no unstable mode. The ordered linear chain needs none of this
-    machinery: axial_equilibrium solves it by a damped Newton on z.
+    what _line_search kept. The loop stops when the configuration is
+    stationary (is_stationary's test) with no unstable mode. The ordered
+    linear chain needs none of this machinery (axial_equilibrium).
 
     The start and every trial point have each coordinate below _FLOOR in
     magnitude set to zero, so no iterate, and no minimum returned or
@@ -330,10 +361,7 @@ def _relax(
     when it stalls or runs out of steps elsewhere.
     """
     inv_sqrt_m = 1.0 / np.sqrt(np.repeat(masses, u.shape[1]))
-
-    def evaluate(v: np.ndarray):
-        e, g, f, geometry = _evaluate(v, k2, kq)
-        return e, g.ravel(), _stationary(g, f), geometry
+    evaluate = partial(_state, k2=k2, kq=kq)
 
     def size(p: np.ndarray) -> float:
         """Largest per-ion length of a flat step."""
@@ -399,27 +427,7 @@ def _relax(
                 p *= min(1.0, limit / size(p))
         p = p.reshape(u.shape)
         length = size(p)
-        slope = float(g @ p.ravel())
-        gmax = np.abs(g).max()
-        t = 1.0
-        while True:
-            trial = _flush(u + t * p)
-            e_t, g_t, stationary_t, geometry_t = evaluate(trial)
-            if unstable == 0 and abs(e_t - e) <= _ROUNDOFF * abs(e):
-                if np.abs(g_t).max() < gmax:
-                    break
-            elif e_t <= e + _ARMIJO * t * slope:
-                break
-            t *= 0.5
-            if t < 1e-10:
-                if unstable:
-                    raise SaddlePointError(
-                        "descent stalled on a saddle point", negative_count=unstable
-                    )
-                raise ConvergenceError(
-                    "equilibrium solve stalled above the force tolerance"
-                )
-        u, e, g, stationary, geometry = trial, e_t, g_t, stationary_t, geometry_t
+        t, u, (e, g, stationary, geometry) = _line_search(evaluate, u, p, e, g, unstable)
         radius = min(2.0 * radius, _MAX_RADIUS) if t == 1.0 else t * length / spacing
     else:
         raise ConvergenceError(f"equilibrium solve did not converge in {_MAX_STEPS} steps")
@@ -449,47 +457,34 @@ def _solve_units(trap: TrapModel, ions: Sequence[IonSpecies]):
 def axial_equilibrium(trap: TrapModel, ions: Sequence[IonSpecies]) -> np.ndarray:
     """Equilibrium z positions (metres) of the linear chain, ions kept in order.
 
-    A damped Newton on z alone (James, Appl. Phys. B 66, 181, 1998), in
-    the solve units of _solve_units, from an equally spaced seed.
-    The energy of an ordered chain is strictly convex, so each full
-    Newton step is only halved until the ions stay in order and the
-    energy falls or, once energy changes are round-off, the largest force
-    falls. It stops on is_stationary's test. The result depends on the
-    static axial curvature alone, so it is the same array at every
-    transverse confinement. ConvergenceError after _AXIAL_MAX_STEPS steps.
+    Newton steps on z alone (James, Appl. Phys. B 66, 181, 1998), in the
+    solve units of _solve_units, from an equally spaced seed. The energy
+    of an ordered chain is strictly convex, so each step is the full
+    Newton step, shortened only by _line_search; a trial that reorders the
+    ions is inadmissible there. It stops on is_stationary's test. The
+    result depends on the static axial curvature alone, so it is the same
+    array at every transverse confinement. ConvergenceError when the line
+    search stalls or after _AXIAL_MAX_STEPS steps.
     """
     ions = tuple(ions)
     n = len(ions)
     k2, kq, _, scale = _solve_units(trap, ions)
     k2 = k2[:, 2:]
 
-    def evaluate(u: np.ndarray):
-        e, g, f, geometry = _evaluate(u[:, None], k2, kq)
-        return e, g[:, 0], _stationary(g, f), geometry
+    def evaluate(v: np.ndarray):
+        """_state of an ordered chain, energy +inf for a reordered one."""
+        if np.all(np.diff(v, axis=0) > 0.0):
+            return _state(v, k2, kq)
+        return np.inf, None, False, None
 
-    u = (np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559
+    u = ((np.arange(n) - 0.5 * (n - 1)) * 2.018 * n**-0.559)[:, None]
     e, g, stationary, geometry = evaluate(u)
     for _ in range(_AXIAL_MAX_STEPS):
         if stationary:
-            return u * scale
-        p = np.linalg.solve(_hessian(geometry, k2), g)
-        t = 1.0
-        while True:
-            trial = u - t * p
-            if np.all(np.diff(trial) > 0.0):
-                e_t, g_t, stationary_t, geometry_t = evaluate(trial)
-                if abs(e_t - e) <= _ROUNDOFF * abs(e):
-                    if np.abs(g_t).max() < np.abs(g).max():
-                        break
-                elif e_t < e:
-                    break
-            t *= 0.5
-            if t < 1e-10:
-                raise ConvergenceError("axial equilibrium stalled above the force tolerance")
-        u, e, g, stationary, geometry = trial, e_t, g_t, stationary_t, geometry_t
-    raise ConvergenceError(
-        f"axial equilibrium did not converge in {_AXIAL_MAX_STEPS} steps"
-    )
+            return u[:, 0] * scale
+        p = -np.linalg.solve(_hessian(geometry, k2), g)
+        _, u, (e, g, stationary, geometry) = _line_search(evaluate, u, p[:, None], e, g, 0)
+    raise ConvergenceError(f"axial equilibrium did not converge in {_AXIAL_MAX_STEPS} steps")
 
 
 def _cold_start(trap, ions, z, rng) -> np.ndarray:
@@ -549,23 +544,17 @@ def find_equilibrium(
         initial = _cold_start(trap, ions, z, np.random.default_rng(seed))
     start = initial / scale
 
-    def candidates():
-        """(u, energy) of the minimum from the start, then of those from
-        its mode branches, in order."""
-        u, e, forks = _relax(start, k2, kq, masses)
-        yield u, e
-        for k in range(1, min(forks, _BRANCHES) if n <= _BRANCH_MAX_IONS else 1):
-            try:
-                yield _relax(start, k2, kq, masses, first_mode=k)[:2]
-            except SolverError:
-                pass
-
-    # the lowest candidate minimum; the earliest within 1e-12 relative
-    best = None
-    for u, e in candidates():
-        if best is None or e < best[1] - 1e-12 * abs(best[1]):
-            best = (u, e)
-    return CrystalConfiguration(ions, best[0] * scale)
+    # the lowest minimum of the start's descent and its mode branches; the
+    # earliest within 1e-12 relative
+    u, e, forks = _relax(start, k2, kq, masses)
+    for k in range(1, min(forks, _BRANCHES) if n <= _BRANCH_MAX_IONS else 1):
+        try:
+            v, f, _ = _relax(start, k2, kq, masses, first_mode=k)
+        except SolverError:
+            continue
+        if f < e - 1e-12 * abs(e):
+            u, e = v, f
+    return CrystalConfiguration(ions, u * scale)
 
 
 def classify(

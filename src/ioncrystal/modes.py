@@ -60,7 +60,6 @@ class ModeDescriptor:
     (N, 3) displacement pattern under the same normalisation.
     """
 
-    index: int
     frequency: float
     dominant_axis: str
     soft: bool
@@ -105,7 +104,6 @@ def mode_descriptor(modes: NormalModeSet, m: int) -> ModeDescriptor:
     amps = np.linalg.norm(phys, axis=1)
     peak = amps.max()
     return ModeDescriptor(
-        index=m,
         frequency=float(modes.frequencies[m]),
         dominant_axis=axis,
         soft=bool(modes.soft[m]),
@@ -147,15 +145,6 @@ def localization_ratio(desc: ModeDescriptor, boundary_index: int) -> float:
     if lo == 0.0:
         return np.inf
     return float(hi / lo)
-
-
-def impurity_amplitude_ratio(desc: ModeDescriptor, index: int) -> float:
-    """Amplitude of one ion relative to the largest amplitude of the rest."""
-    n = len(desc.ion_amplitudes)
-    if n < 2:
-        raise BoundaryError("need at least two ions to compare amplitudes")
-    others = np.delete(desc.ion_amplitudes, index)
-    return float(desc.ion_amplitudes[index] / others.max())
 
 
 def _side(desc: ModeDescriptor, boundary_index: int) -> str:

@@ -70,7 +70,6 @@ class ResponseCurve:
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
-    drive: DriveSpec
 
 
 @dataclass(frozen=True)
@@ -118,7 +117,7 @@ def response_curve(modes: NormalModeSet, drive: DriveSpec) -> ResponseCurve:
     phys = np.abs(modes.vectors) / np.repeat(np.sqrt(cfg.masses), 3)[:, None]
     per_axis = (mode_amps @ phys.T).reshape(len(mode_amps), cfg.n, 3)
     amps = np.linalg.norm(per_axis, axis=2)
-    return ResponseCurve(drive.frequencies.copy(), amps, drive)
+    return ResponseCurve(drive.frequencies.copy(), amps)
 
 
 def _gaussian(x, a, c, s, o):

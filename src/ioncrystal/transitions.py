@@ -137,7 +137,6 @@ class CriticalPoint:
     alpha_x: float
     alpha_y: float
     method: str
-    arrangement: tuple[IonSpecies, ...]
     cross_check: float | None = None
 
 
@@ -257,7 +256,6 @@ def critical_anisotropy(
         alpha_x=float(alpha),
         alpha_y=family.alpha_y_at(float(alpha)),
         method=method,
-        arrangement=ions,
         cross_check=cross_check,
     )
 

@@ -17,13 +17,12 @@ PUBLIC = [
     "ResponseCurve", "SaddlePointError", "Scenario", "ScenarioError", "SolverError",
     "SpeciesFrequencies", "SpotCountError", "StructureClass", "TrapInstabilityError",
     "TrapModel", "UnstableConfigurationError", "anisotropy", "axial_equilibrium",
-    "calibrate_from_frequencies", "characteristic_length", "classify", "critical_anisotropy",
-    "crystal_length", "drive_overlap", "find_equilibrium", "fit_positions", "fluorescing",
-    "frequencies_for_species", "gradient", "hessian", "impurity_amplitude_ratio",
+    "calibrate_from_frequencies", "characteristic_length", "classify",
+    "critical_anisotropy", "crystal_length", "drive_overlap", "find_equilibrium",
+    "fit_positions", "fluorescing", "frequencies_for_species", "gradient", "hessian",
     "is_stationary", "localization_ratio", "min_same_side_gap", "mode_descriptor",
     "modes_by_axis", "normal_modes", "parse_scenario", "potential_energy", "project",
-    "pseudopotential_terms", "render", "response_curve", "scan_configurations",
-    "sweep_and_fit", "write_pgm",
+    "render", "response_curve", "scan_configurations", "sweep_and_fit", "write_pgm",
 ]
 
 # Every exported callable with a defaulted parameter, and those parameters.

@@ -381,3 +381,60 @@ def test_relax_makes_one_geometry_pass_per_point(family, ca, ca2, monkeypatch):
     assert forks > 0 and len(points) > 5
     assert len(passes) == len(points)
     assert all(p is q for p, q in zip(passes, points))
+
+
+@pytest.mark.parametrize("unstable", [0, 2])
+def test_line_search_never_accepts_an_inadmissible_trial(unstable):
+    # a quadratic bowl e = |v|^2 / 2 whose trials with v[0] < 0.6 are
+    # inadmissible: the full step to the centre and its half are skipped
+    def evaluate(v):
+        if v[0] < 0.6:
+            return np.inf, None, False, None
+        return 0.5 * float(v @ v), v.copy(), False, None
+
+    u = np.array([1.0, 2.0])
+    e, g = evaluate(u)[:2]
+    t, trial, (e_t, g_t, _, _) = crystal._line_search(evaluate, u, -u, e, g, unstable)
+    assert t == 0.25 and trial[0] >= 0.6
+    assert e_t == evaluate(trial)[0] < e
+
+    def nowhere(v):
+        return np.inf, None, False, None
+
+    if unstable:
+        with pytest.raises(ic.SaddlePointError) as err:
+            crystal._line_search(nowhere, u, -u, e, g, unstable)
+        assert err.value.negative_count == unstable
+    else:
+        with pytest.raises(ic.ConvergenceError, match="stalled above the force tolerance"):
+            crystal._line_search(nowhere, u, -u, e, g, unstable)
+
+
+def test_axial_solve_never_evaluates_a_reordered_chain(family, monkeypatch):
+    # draw 26 of test_axial_chains_of_random_mixtures_match_the_oracle's
+    # mixtures, 74 ions: one full Newton step would reorder the chain, and
+    # the line search halves past it without a geometry pass
+    rng = np.random.default_rng(20130)
+    for _ in range(27):
+        n = int(rng.integers(2, 101))
+        charges = rng.integers(1, 4, n)
+        masses = rng.uniform(6.0, 200.0, n)
+    ions = [ic.IonSpecies(int(q), float(m)) for q, m in zip(charges, masses)]
+    assert len(ions) == 74
+    trials, evaluated = [], []
+    flush, evaluate = crystal._flush, crystal._evaluate
+
+    def recorded_flush(u):
+        trials.append(u.copy())
+        return flush(u)
+
+    def recorded_evaluate(pos, *args):
+        evaluated.append(pos.copy())
+        return evaluate(pos, *args)
+
+    monkeypatch.setattr(crystal, "_flush", recorded_flush)
+    monkeypatch.setattr(crystal, "_evaluate", recorded_evaluate)
+    z = ic.axial_equilibrium(family.trap_at(1.0), ions)
+    assert np.all(np.diff(z) > 0.0)
+    assert any(np.any(np.diff(u[:, 0]) <= 0.0) for u in trials)
+    assert all(np.all(np.diff(pos[:, 0]) > 0.0) for pos in evaluated)
