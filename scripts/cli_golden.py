@@ -4,6 +4,9 @@
     PYTHONPATH=src python scripts/cli_golden.py --out DIR
     python scripts/cli_golden.py --compare PARENT_DIR CHANGE_DIR
 
+The script runs numpy on one BLAS thread whatever the environment says,
+so a tree does not depend on the machine's thread count.
+
 There is one run per command and scenario, written into
 DIR/<scenario>/<command>/. Its exit code and its stdout and stderr,
 with the output directory replaced by "<out>", go to DIR/runs.txt, one
@@ -35,6 +38,7 @@ import hashlib
 import io
 import json
 import math
+import os
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -237,4 +241,8 @@ def main_cli(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # One thread per BLAS/OpenMP pool, whatever the caller set, before
+    # numpy is imported: with more threads the minima's eigensolves round
+    # differently, and two trees of the same code would compare as different.
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     raise SystemExit(main_cli())

@@ -10,9 +10,11 @@ opposite weights) stay dark.
 The damped mode coordinate responds with amplitude
 b_m E / sqrt((omega_m^2 - omega_d^2)^2 + (Gamma omega_d)^2); per-ion
 amplitudes sum the mode contributions incoherently, which is the
-envelope a camera integrates over many drive phases. The whole sweep is
-one matrix product of the (G, 3N) mode amplitudes with the mass-scaled
-|eigenvectors|.
+envelope a camera integrates over many drive phases. The sweep runs in
+blocks of _BLOCK_ROWS drive points: each block's (rows, 3N) mode
+amplitudes go through one matrix product with the mass-scaled
+|eigenvectors| into the (G, N) result, so beside that result only
+per-block arrays stay alive, whatever the grid's length.
 
 Each resonance is fit with a Gaussian line and its analytic Jacobian in
 (height, centre, width, offset), so the fitter builds no
@@ -33,6 +35,11 @@ from .modes import _AXES, NormalModeSet
 
 _DETECTION_FACTOR = 5.0      # a resonance exceeds this times the median level
 _FLOOR_FRAC = 0.15           # a peak's fit window ends at this fraction of its height
+# Drive points per block of response_curve. Every block has exactly this
+# many rows (the last one overlaps its neighbour), so each row goes
+# through the same BLAS path as in a one-shot product: a short block may
+# take another path and change the last bits of its rows.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,28 +102,24 @@ def drive_overlap(modes: NormalModeSet, axis: str) -> np.ndarray:
     return weights @ components
 
 
-def _mode_amplitudes(modes: NormalModeSet, drive: DriveSpec) -> np.ndarray:
-    """|mode coordinate| at each drive frequency, shape (G, 3N)."""
-    omega_d = drive.frequencies
-    b = np.abs(drive_overlap(modes, drive.axis))
-    # a mode too stiff to square in float range is so far from every drive
-    # that its inf denominator gives it a response of exactly 0
-    with np.errstate(over="ignore"):
-        w2 = modes.frequencies**2
-        wd2 = omega_d[:, None] ** 2
-        denom = np.sqrt(
-            (w2[None, :] - wd2) ** 2 + (drive.damping_rate * omega_d[:, None]) ** 2
-        )
-    return b[None, :] * drive.field_amplitude / denom
-
-
 def response_curve(modes: NormalModeSet, drive: DriveSpec) -> ResponseCurve:
     """Sweep the drive grid and collect per-ion amplitudes."""
-    mode_amps = _mode_amplitudes(modes, drive)
+    omega_d = drive.frequencies
     cfg = modes.configuration
+    scale = np.abs(drive_overlap(modes, drive.axis)) * drive.field_amplitude
     phys = np.abs(modes.vectors) / np.repeat(np.sqrt(cfg.masses), 3)[:, None]
-    per_axis = (mode_amps @ phys.T).reshape(len(mode_amps), cfg.n, 3)
-    amps = np.linalg.norm(per_axis, axis=2)
+    amps = np.empty((len(omega_d), cfg.n))
+    rows = min(len(omega_d), _BLOCK_ROWS)
+    for start in (*range(0, len(omega_d) - rows, rows), len(omega_d) - rows):
+        wd = omega_d[start:start + rows, None]
+        # a mode too stiff to square in float range is so far from every drive
+        # that its inf denominator gives it a response of exactly 0
+        with np.errstate(over="ignore"):
+            denom = np.sqrt(
+                (modes.frequencies**2 - wd**2) ** 2 + (drive.damping_rate * wd) ** 2
+            )
+        per_axis = ((scale / denom) @ phys.T).reshape(rows, cfg.n, 3)
+        amps[start:start + rows] = np.linalg.norm(per_axis, axis=2)
     return ResponseCurve(drive.frequencies.copy(), amps)
 
 

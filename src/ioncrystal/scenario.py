@@ -25,8 +25,8 @@ and bounds given to _key are what a value of the key must pass. A
 missing key takes its default; null is a value only where the default is
 None. parse_scenario adds the checks that span keys: modes.boundary
 within [1, N-2] for N ions, alpha_max above alpha_min, max_khz above
-min_khz, the response sweep size, and the species of each scan
-arrangement.
+min_khz, the response sweep size (in points, and in points x ions),
+and the species of each scan arrangement.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ from .trap import (
 # Largest scan grid and response sweep, (max_khz - min_khz) / step_khz + 1
 # points; the checked-in scenarios use at most 5501.
 _MAX_GRID_POINTS = 1_000_000
+# Largest response table, sweep points x ions: 80 MB of float64, the
+# budget of imaging's largest image.
+_MAX_RESPONSE_CELLS = 10_000_000
 # Largest render.flux and render.background (photons): a noisy image's
 # pixel means then stay many orders below numpy's Poisson limit (~9.2e18).
 _MAX_PHOTONS = 1e12
@@ -333,6 +336,12 @@ def parse_scenario(path) -> Scenario:
         raise ScenarioError(
             f"response.step_khz: {r.step_khz} kHz from {r.min_khz} to {r.max_khz} kHz "
             f"gives {points:.3g} sweep points, more than {_MAX_GRID_POINTS}"
+        )
+    cells = points * len(ion_labels)
+    if not cells <= _MAX_RESPONSE_CELLS:
+        raise ScenarioError(
+            f"response.step_khz: {points:.3g} sweep points of {len(ion_labels)} ions "
+            f"give {cells:.3g} response cells, more than {_MAX_RESPONSE_CELLS:.3g}"
         )
 
     return Scenario(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,6 +101,53 @@ def test_curve_matches_pointwise_evaluation(central):
     for k in (0, 7, 20):
         point = _amplitudes_at(central, drive, drive.frequencies[k])
         assert point.tobytes() == curve.amplitudes[k].tobytes()
+
+
+def _one_shot(modes, drive):
+    """Per-ion amplitudes from one product over the whole grid: the mode
+    amplitudes, times the mass-scaled |eigenvectors|, then the per-ion norm."""
+    wd = drive.frequencies[:, None]
+    b = np.abs(ic.drive_overlap(modes, drive.axis))
+    denom = np.sqrt((modes.frequencies**2 - wd**2) ** 2 + (drive.damping_rate * wd) ** 2)
+    mode_amps = b * drive.field_amplitude / denom
+    cfg = modes.configuration
+    phys = np.abs(modes.vectors) / np.repeat(np.sqrt(cfg.masses), 3)[:, None]
+    return np.linalg.norm((mode_amps @ phys.T).reshape(len(wd), cfg.n, 3), axis=2)
+
+
+@pytest.fixture(scope="module")
+def chain24(family, ca, ca2, linear_chain):
+    trap = family.trap_at(0.004)
+    return ic.normal_modes(trap, linear_chain(trap, [ca] * 12 + [ca2] + [ca] * 11))
+
+
+B = response._BLOCK_ROWS
+
+
+@pytest.mark.parametrize("points", [1, 7, B - 1, B, B + 1, 3 * B + 7])
+@pytest.mark.parametrize("chain", ["central", "chain24"])
+def test_rows_do_not_depend_on_block_boundaries(request, chain, points):
+    # a one-point curve is not the reference: a 1-row product takes
+    # another BLAS path, and its last bits may differ from a longer one's
+    modes = request.getfixturevalue(chain)
+    grid = (300.0 + 0.25 * np.arange(points)) * KHZ
+    drive = ic.DriveSpec("x", 1e-3, 1.0 * KHZ, grid)
+    curve = ic.response_curve(modes, drive)
+    assert curve.amplitudes.tobytes() == _one_shot(modes, drive).tobytes()
+
+
+def test_sweep_memory_stays_near_the_result(family, ca, ca2):
+    trap = family.trap_at(0.0188)
+    config = ic.find_equilibrium(trap, [ca] * 6 + [ca2] + [ca] * 5, seed=0)
+    modes = ic.normal_modes(trap, config)
+    drive = ic.DriveSpec("x", 1e-3, 1.0 * KHZ, (500.0 + 0.004 * np.arange(100_000)) * KHZ)
+    tracemalloc.start()
+    try:
+        curve = ic.response_curve(modes, drive)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * curve.amplitudes.nbytes
 
 
 def test_peak_is_nearly_symmetric(single):

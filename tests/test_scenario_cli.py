@@ -242,6 +242,13 @@ def test_sweep_size_bound(scenario_file):
     assert parse_scenario(scenario_file(text)).response.step_khz == 0.001
     with pytest.raises(ic.ScenarioError, match="response.step_khz"):
         parse_scenario(scenario_file(MINIMAL.replace("step_khz: 0.2", "step_khz: 0.0005")))
+    # at that step 14 ions fit within the 10**7 response cells, 15 do not
+    def chain(n):
+        return text.replace("ions: [ca, ca2, ca]", "ions: [ca2" + ", ca" * (n - 1) + "]")
+
+    assert len(parse_scenario(scenario_file(chain(14))).ion_labels) == 14
+    with pytest.raises(ic.ScenarioError, match="response.step_khz"):
+        parse_scenario(scenario_file(chain(15)))
 
 
 def test_unknown_top_level_key(scenario_file):
