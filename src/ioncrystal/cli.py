@@ -6,8 +6,17 @@ Commands: calibrate, equilibrium, modes, scan, response, render. Each
 command reads the trap and anisotropy family parse_scenario built,
 returns its tables, and main writes each as <table>.csv. render also
 writes the image crystal.pgm and its sidecar crystal.json.
+
+Every step that can fail (solves, fits, render checks, writing the
+image) finishes before a command returns, so a command that fails in one
+of them writes no table. The tables that grow with the input (response, phase_map,
+eigenvectors) are generators over arrays already computed, and
+_write_csv streams each row to its file as it is formatted: a command
+holds its result, not a text copy of it.
+
 Exit codes: 0 success, 2 scenario or argument problem (a trap that
-cannot be built and an image too large to render among them), 3 solver
+cannot be built, an image too large to render, and an --out directory
+or output file that cannot be created or written among them), 3 solver
 failure, 4 fit failure. Outputs are deterministic for a given scenario
 and seed.
 """
@@ -66,10 +75,11 @@ def _fmt(v) -> str:
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    """Write the header, then each row of the iterable as it is formatted."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _solve(sc: Scenario):
@@ -89,8 +99,8 @@ def _positions_rows(sc: Scenario, config) -> list[tuple]:
 
 
 # Each command returns (tables, message): its CSV tables as
-# {name: (header, rows)} and the text main prints between "<command>: "
-# and " -> <out>".
+# {name: (header, rows)}, rows any iterable of tuples, and the text main
+# prints between "<command>: " and " -> <out>".
 
 
 def _cmd_calibrate(sc: Scenario, out: Path):
@@ -146,7 +156,6 @@ def _cmd_modes(sc: Scenario, out: Path):
     boundary = sc.modes.boundary
     n = config.n
     mode_rows = []
-    vec_rows = []
     for m in range(3 * n):
         desc = mode_descriptor(modes, m)
         ratio = None if boundary is None else localization_ratio(desc, boundary)
@@ -154,9 +163,12 @@ def _cmd_modes(sc: Scenario, out: Path):
             (m, _khz(desc.frequency), desc.dominant_axis, bool(desc.soft), ratio)
             + tuple(desc.ion_amplitudes)
         )
-        for i in range(n):
-            for ax, name in enumerate("xyz"):
-                vec_rows.append((m, i, name, modes.vectors[3 * i + ax, m]))
+    vec_rows = (
+        (m, i, name, modes.vectors[3 * i + ax, m])
+        for m in range(3 * n)
+        for i in range(n)
+        for ax, name in enumerate("xyz")
+    )
     gap = None
     try:
         gap = _khz(
@@ -182,7 +194,7 @@ def _cmd_scan(sc: Scenario, out: Path):
     pm = scan_configurations(family, arrangements, alphas, seed=sc.seed)
     map_header = ("alpha_x", "alpha_y", "arrangement", "kind", "plane",
                   "order_parameter_um", "error")
-    map_rows = [
+    map_rows = (
         (
             p.alpha_x,
             p.alpha_y,
@@ -193,7 +205,7 @@ def _cmd_scan(sc: Scenario, out: Path):
             p.error,
         )
         for p in pm.points
-    ]
+    )
     tables = {"phase_map": (map_header, map_rows)}
     if sc.scan.critical:
         critical_rows = []
@@ -221,13 +233,14 @@ def _cmd_response(sc: Scenario, out: Path):
         damping_rate=r.damping_khz * _TWO_PI_KHZ,
         frequencies=grid,
     )
-    curve = response_curve(modes, drive)
+    # the fits' sweep is gone before the table's sweep is made
     fits = sweep_and_fit(modes, drive)
+    curve = response_curve(modes, drive)
     mode_khz = [_khz(w) for w in modes.frequencies]
-    curve_rows = [
-        (_khz(w),) + tuple(curve.amplitudes[g] * 1e6)
-        for g, w in enumerate(curve.frequencies)
-    ]
+    curve_rows = (
+        (_khz(w),) + tuple(amps * 1e6)
+        for w, amps in zip(curve.frequencies, curve.amplitudes)
+    )
     peak_header = ("center_khz", "stderr_khz", "height_um", "width_khz",
                    "offset_um", "n_points", "nearest_mode_khz")
     peak_rows = [
@@ -367,6 +380,9 @@ def main(argv=None) -> int:
         return 0
     except (ScenarioError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # creating --out or writing into it
+        print(f"error: --out: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

@@ -59,7 +59,9 @@ from .trap import (
 # points; the checked-in scenarios use at most 5501.
 _MAX_GRID_POINTS = 1_000_000
 # Largest response table, sweep points x ions: 80 MB of float64, the
-# budget of imaging's largest image.
+# budget of imaging's largest image. The CLI holds one sweep at a time and
+# streams the table, so a response run at this bound peaks at ~200 MB
+# resident (196 MB measured on 999 001 points x 10 ions).
 _MAX_RESPONSE_CELLS = 10_000_000
 # Largest render.flux and render.background (photons): a noisy image's
 # pixel means then stay many orders below numpy's Poisson limit (~9.2e18).

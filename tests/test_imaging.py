@@ -289,6 +289,11 @@ def test_pgm_round_trip(tmp_path, model, read_pgm16):
     )
     ic.write_pgm(image, tmp_path / "again.pgm")
     assert (tmp_path / "again.pgm").read_bytes() == raw
+    # the file is in row order whatever the array's memory layout
+    fortran = ic.CameraImage(np.asfortranarray(image.intensity), image.um_per_px,
+                             image.origin_um)
+    ic.write_pgm(fortran, tmp_path / "fortran.pgm")
+    assert (tmp_path / "fortran.pgm").read_bytes() == raw
 
 
 def test_model_validation():

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -277,13 +278,22 @@ def test_invalid_yaml_reports_location(scenario_file):
     assert "line 1" in str(err.value)
 
 
+def _written(out):
+    """The tables, images and sidecars under out, which need not exist."""
+    return sorted(f.name for f in out.glob("*") if f.suffix in (".csv", ".pgm", ".json"))
+
+
 def test_cli_exit_codes(tmp_path, scenario_file):
     good = scenario_file()
     assert main(["modes", "--scenario", str(good), "--out", str(tmp_path / "ok")]) == 0
+    assert _written(tmp_path / "ok")
     # parse failures
     bad = scenario_file(MINIMAL.replace("[480.0, 630.0, 119.0]", "[630.0, 480.0, 119.0]"), "bad.yaml")
     assert main(["modes", "--scenario", str(bad), "--out", str(tmp_path / "a")]) == 2
     assert main(["modes", "--scenario", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "b")]) == 2
+    # a render that fails after its solve: no crystal.pgm, sidecar or table
+    far = scenario_file(MINIMAL.replace("render:", "render:\n  mode: 9"), "far.yaml")
+    assert main(["render", "--scenario", str(far), "--out", str(tmp_path / "e")]) == 2
     # solver failure: a species too heavy for the rf confinement
     heavy = scenario_file(
         MINIMAL.replace("ca2: {charge: 2, mass_amu: 40.0}", "ca2: {charge: 2, mass_amu: 40.0}\n  pb: {charge: 1, mass_amu: 4000.0}").replace(
@@ -297,6 +307,57 @@ def test_cli_exit_codes(tmp_path, scenario_file):
         MINIMAL.replace("field_v_per_m: 1.0e-3", "field_v_per_m: 0.0"), "dark.yaml"
     )
     assert main(["response", "--scenario", str(dark), "--out", str(tmp_path / "d")]) == 4
+    # a failing command writes nothing, which lets main stream its tables
+    for failed in "abcde":
+        assert _written(tmp_path / failed) == [], failed
+
+
+@pytest.mark.parametrize("where", ["below-a-file", "a-file", "a-table"])
+def test_unusable_out_exits_2_naming_it(tmp_path, scenario_file, capsys, where):
+    # each used to end in a traceback (exit 1): NotADirectoryError,
+    # FileExistsError or IsADirectoryError
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = {"below-a-file": blocker / "x", "a-file": blocker, "a-table": tmp_path / "out"}[where]
+    if where == "a-table":
+        (out / "trap.csv").mkdir(parents=True)
+    assert main(["calibrate", "--scenario", str(scenario_file()), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ")
+    assert str(out) in err
+
+
+def _peak_bytes(argv):
+    """tracemalloc peak of one main(argv) call, after one untraced run."""
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_response_memory_follows_its_table(tmp_path, scenario_file):
+    # 35 001 points x 3 ions; the whole table used to be held as text (19x)
+    text = (SCENARIOS / "three_ion_central.yaml").read_text()
+    path = scenario_file(text.replace("step_khz: 0.2", "step_khz: 0.02"))
+    peak = _peak_bytes(["response", "--scenario", str(path), "--out", str(tmp_path)])
+    table = 35_001 * 3 * 8
+    assert len(_csv_rows(tmp_path / "response.csv")) == 35_001
+    assert peak <= 4 * table
+
+
+def test_render_memory_follows_its_image(tmp_path, scenario_file):
+    # a noisy 743 x 485 px image; spot, background and noise used to take 4x
+    text = (SCENARIOS / "three_ion_central.yaml").read_text()
+    path = scenario_file(text.replace("amplitude_um: 5.0", "amplitude_um: 20").replace(
+        "noise: false", "noise: true\n  background: 2.0"))
+    peak = _peak_bytes(["render", "--scenario", str(path), "--out", str(tmp_path)])
+    shape = json.loads((tmp_path / "crystal.json").read_text())["shape"]
+    assert shape == [485, 743]
+    assert peak <= 3 * 8 * shape[0] * shape[1]
 
 
 def test_cli_outputs_are_deterministic(tmp_path, scenario_file):
