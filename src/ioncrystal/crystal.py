@@ -13,7 +13,18 @@ from which `_hessian` builds the Hessian at the same point. The public
 functions call it in SI units. Solves call it in their own units
 (`_solve_units`): lengths in the Coulomb length of the first ion's
 species, energies in k q_0^2 over that length, masses in the first
-ion's mass. Two Newton loops (Nocedal & Wright, Numerical Optimization,
+ion's mass.
+
+The kernel works in axis planes: every pair quantity is an (N, N) array
+per axis, the differences (d, N, N) and the Hessian's pair blocks
+(d, d, N, N), so each numpy operation runs over whole planes at any N.
+Plane entries are indexed [j, i] for the pair (i, j). Every float is
+that of the same kernel laid out (N, N, d[, d]), which the tests keep as
+the reference: the sums over the partner j follow that layout's order
+(`_sum_over_j`), one row after another for d > 1 and pairwise along a
+contiguous axis for d = 1.
+
+Two Newton loops (Nocedal & Wright, Numerical Optimization,
 ch. 3 and 4) share one evaluation (`_state`) and one backtracking line
 search (`_line_search`): a step is accepted on an Armijo energy decrease
 or, with no unstable direction and a round-off energy change, on a
@@ -166,15 +177,33 @@ class StructureClass:
 
 
 def _pair_geometry(pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pair differences r_i - r_j, shape (N, N, d), and distances with inf on the diagonal."""
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    """Pair differences in axis planes, diff[a, j, i] = r_i - r_j of shape
+    (d, N, N), and the distances (N, N), inf on the diagonal, from the
+    squared differences summed in axis order."""
+    cols = np.ascontiguousarray(pos.T)
+    diff = cols[:, None, :] - cols[:, :, None]
+    dist = np.sqrt((diff * diff).sum(axis=0))
     np.fill_diagonal(dist, np.inf)
     return diff, dist
 
 
 def _min_separation(pos: np.ndarray) -> float:
     return float(_pair_geometry(pos)[1].min())
+
+
+def _sum_over_j(planes: np.ndarray) -> np.ndarray:
+    """Sums over j of planes[..., j, i], shape planes.shape[:-1].
+
+    The order is that of numpy's sums over j of the same terms laid out
+    (N, N, d[, d]), the kernel's reference layout: there j is a strided
+    axis, summed one row after another, when d > 1; for d = 1 the layout
+    coalesces to a contiguous j axis, which numpy sums pairwise. So the
+    rows of a plane are summed in turn when d > 1, and for d = 1 its
+    transpose is made contiguous and summed along its rows.
+    """
+    if planes.shape[0] > 1:
+        return planes.sum(axis=-2)
+    return planes.swapaxes(-1, -2).copy().sum(axis=-1)
 
 
 def _evaluate(
@@ -184,11 +213,13 @@ def _evaluate(
 
     Works in any consistent units: pos has shape (N, d), all three axes
     or z alone; k2 (N, d) holds the trap spring constants m w^2 and kq
-    (N, N) the Coulomb prefactors K q_i q_j, both in those units. The
-    force scale is the largest per-ion sum of trap and Coulomb force
-    magnitudes, the yardstick of the stationarity test. The geometry is
-    (diff, dist, c3) of _pair_geometry with c3 = kq / dist^3, 0 on the
-    diagonal: what _hessian needs at the same point.
+    (N, N) the symmetric Coulomb prefactors K q_i q_j, both in those
+    units. The force scale is the largest per-ion sum of trap and Coulomb
+    force magnitudes, the yardstick of the stationarity test. The
+    geometry is (diff, dist, c3) of _pair_geometry with c3 = kq / dist^3,
+    0 on the diagonal: what _hessian needs at the same point. The Coulomb
+    gradient is formed plane by plane: c3 (r_i - r_j) in the axis planes
+    of diff, summed over j by _sum_over_j and subtracted.
     """
     grad = k2 * pos
     energy = 0.5 * (grad * pos).sum()
@@ -199,7 +230,7 @@ def _evaluate(
     qq_r2 = qq_r / dist
     per_ion += qq_r2.sum(axis=1)
     c3 = qq_r2 / dist
-    grad -= (c3[:, :, None] * diff).sum(axis=1)
+    grad -= _sum_over_j(c3 * diff).T
     return float(energy), grad, float(per_ion.max()), (diff, dist, c3)
 
 
@@ -208,17 +239,31 @@ def _hessian(
 ) -> np.ndarray:
     """Second derivative matrix of the potential, shape (dN, dN), from
     _evaluate's geometry at a point and the spring constants k2 (N, d),
-    in their units."""
+    in their units.
+
+    The pair blocks are built as (d, d, N, N) planes, blocks[a, b, j, i] =
+    c3 ((3 u_a) u_b - delta_ab) with u = diff / dist; the delta term is
+    subtracted on the a = b planes only (x - 0.0 is x). The unit vector
+    changes sign with the pair and the products do not, so after 0.0 - b
+    (not -b: an exact zero of either sign becomes +0.0) every plane is
+    symmetric bit for bit, and one pass writes 0.0 - blocks[a, b, i, j]
+    into H[i, a, j, b]. The diagonal blocks then add the sums over j of
+    their planes (_sum_over_j, the j = i term included) and, on a = b,
+    the spring constants; k2 delta_ab would add only zeros elsewhere, and
+    0.0 + (s ± 0.0) is 0.0 + s bit for bit.
+    """
     diff, dist, c3 = geometry
     n, d = k2.shape
-    unit = diff / dist[:, :, None]
-    blocks = c3[:, :, None, None] * (
-        3.0 * unit[:, :, :, None] * unit[:, :, None, :] - np.eye(d)
-    )
-    H = np.zeros((n, d, n, d))
-    H -= blocks.transpose(0, 2, 1, 3)
+    unit = diff / dist
+    blocks = (3.0 * unit)[:, None] * unit
+    blocks.reshape(d * d, n, n)[:: d + 1] -= 1.0
+    blocks *= c3
+    sums = _sum_over_j(blocks)
+    sums.reshape(d * d, n)[:: d + 1] += k2.T
+    H = np.empty((n, d, n, d))
+    np.subtract(0.0, blocks, out=H.transpose(1, 3, 0, 2))
     idx = np.arange(n)
-    H[idx, :, idx, :] += blocks.sum(axis=1) + k2[:, :, None] * np.eye(d)
+    H[idx, :, idx, :] += sums.transpose(2, 0, 1)
     return H.reshape(d * n, d * n)
 
 
@@ -226,10 +271,13 @@ def _mass_weighted_eigh(
     H: np.ndarray, masses: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of M^-1/2 H M^-1/2, eigenvalues ascending; in
-    (rad/s)^2 for SI H and masses."""
+    (rad/s)^2 for SI H and masses. H is scaled in place: it is left holding
+    M^-1/2 H M^-1/2 before symmetrisation."""
     inv = 1.0 / np.sqrt(np.repeat(masses, len(H) // len(masses)))
-    D = H * inv[:, None] * inv[None, :]
-    D = 0.5 * (D + D.T)
+    H *= inv[:, None]
+    H *= inv[None, :]
+    D = H + H.T
+    D *= 0.5
     return np.linalg.eigh(D)
 
 
@@ -439,7 +487,8 @@ def _arrays(trap: TrapModel, ions: Sequence[IonSpecies]):
     and masses (N,) of a solve in SI units, and its length unit: the first
     ion's Coulomb length at its axial frequency, which depends on the
     static curvature alone. Squared frequencies may be non-positive."""
-    w2 = np.array([_squared_secular(trap, s) for s in ions])
+    secular = {s: _squared_secular(trap, s) for s in set(ions)}
+    w2 = np.array([secular[s] for s in ions])
     masses = np.array([s.mass for s in ions])
     charges = np.array([s.charge for s in ions])
     scale = characteristic_length(ions[0], float(np.sqrt(w2[0, 2])))
